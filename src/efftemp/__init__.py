@@ -40,6 +40,7 @@ from .oracle import (
     CoolingProtocol,
     GibbsStochasticLP,
     HeatOptimum,
+    HeatVerdict,
     build_cooling_protocol,
     heat_sign_oracle,
     max_energy_gain,

@@ -2,10 +2,7 @@
 
 This is the one hot loop in the package: the heat-flow oracle solves
 thousands of small LPs over the Gibbs-stochastic polytope, and interpreter
-overhead dominates at tableau sizes of a few hundred cells.  The kernel is
-written once in nopython-compatible style and compiled with numba when
-available; setting EFFTEMP_DISABLE_NUMBA=1 (or running without numba
-installed) selects the plain numpy interpretation of the same source.
+overhead dominates at tableau sizes of a few hundred cells.
 
 Solves   min c @ x   s.t.  A @ x = b,  x >= 0
 and returns a vertex optimum.  Status codes: 0 optimal, 1 infeasible,
@@ -13,8 +10,6 @@ and returns a vertex optimum.  Status codes: 0 optimal, 1 infeasible,
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -29,7 +24,7 @@ _PHASE1_GAP = 1e-8
 _TIE_BAND = 1e-12
 
 
-def _simplex_kernel(A, b, c, tol, max_iter):
+def simplex_kernel(A, b, c, tol, max_iter):
     m, n = A.shape
     width = n + m + 1
     rhs = width - 1
@@ -133,25 +128,3 @@ def _simplex_kernel(A, b, c, tol, max_iter):
             x[basis[i]] = T[i, rhs]
     return OPTIMAL, x
 
-
-# the interpreted twin is kept importable regardless of backend so the
-# benchmark and the backend-equivalence tests can compare both paths
-simplex_kernel_python = _simplex_kernel
-
-
-def _numba_disabled() -> bool:
-    return os.environ.get("EFFTEMP_DISABLE_NUMBA", "").strip() not in ("", "0")
-
-
-if not _numba_disabled():
-    try:
-        from numba import njit
-
-        simplex_kernel = njit(cache=True)(_simplex_kernel)
-        BACKEND = "numba"
-    except ImportError:
-        simplex_kernel = _simplex_kernel
-        BACKEND = "numpy"
-else:
-    simplex_kernel = _simplex_kernel
-    BACKEND = "numpy"

@@ -38,6 +38,13 @@ def _params_digest(params: dict) -> str:
     return _digest(json.dumps(params, sort_keys=True).encode())
 
 
+def _floats(path: str, field: str, value) -> np.ndarray:
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{path}: {field} must be numeric: {exc}")
+
+
 def load_system_file(path: str) -> tuple[QuantumSystem, str]:
     """Parse a SystemFile and return (system, content digest)."""
     try:
@@ -51,22 +58,22 @@ def load_system_file(path: str) -> tuple[QuantumSystem, str]:
         raise ValidationError(f"{path} is not valid JSON: {exc}")
     if not isinstance(doc, dict) or "energies" not in doc:
         raise ValidationError(f"{path}: expected an object with an 'energies' field")
-    energies = doc["energies"]
+    energies = _floats(path, "energies", doc["energies"])
     if "populations" in doc:
-        p = np.asarray(doc["populations"], dtype=float)
+        p = _floats(path, "populations", doc["populations"])
         if p.ndim != 1:
             raise ValidationError(f"{path}: populations must be a flat list")
         rho = np.diag(p).astype(complex)
     elif "rho_re" in doc:
-        re = np.asarray(doc["rho_re"], dtype=float)
-        im = np.asarray(doc.get("rho_im", np.zeros_like(re)), dtype=float)
+        re = _floats(path, "rho_re", doc["rho_re"])
+        im = _floats(path, "rho_im", doc.get("rho_im", np.zeros_like(re)))
         if re.shape != im.shape:
             raise ValidationError(f"{path}: rho_re and rho_im shapes differ")
         rho = re + 1j * im
     else:
         raise ValidationError(f"{path}: need either 'populations' or 'rho_re'")
     try:
-        system = QuantumSystem(energies=np.asarray(energies, dtype=float), rho=rho)
+        system = QuantumSystem(energies=energies, rho=rho)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}")
     return system, _digest(raw)
@@ -187,25 +194,19 @@ def cmd_oracle(args) -> tuple[dict, list, str]:
     system, digest = load_system_file(args.path)
     if args.random is not None and args.seed is None:
         raise ValidationError("--random requires an explicit --seed")
-    can_cool, can_heat = oracle.heat_sign_oracle(system, args.beta_bath)
-    gain = oracle.max_energy_gain(
-        oracle.GibbsStochasticLP(system.populations, system.energies, args.beta_bath, "maximize")
-    )
-    loss = oracle.max_energy_gain(
-        oracle.GibbsStochasticLP(system.populations, system.energies, args.beta_bath, "minimize")
-    )
+    verdict = oracle.heat_sign_oracle(system, args.beta_bath)
     pair = temperatures.single_copy_effective(system)
     predicted_cool = temperatures.hotter_than(args.beta_bath, pair.beta_c)
     predicted_heat = temperatures.hotter_than(pair.beta_h, args.beta_bath)
     results = {
         "beta_bath": args.beta_bath,
-        "max_energy_gain": gain.value,
-        "max_energy_loss": -loss.value,
-        "can_cool": can_cool,
-        "can_heat": can_heat,
+        "max_energy_gain": verdict.gain.value,
+        "max_energy_loss": -verdict.loss.value,
+        "can_cool": verdict.can_cool,
+        "can_heat": verdict.can_heat,
         "predicted_cool": predicted_cool,
         "predicted_heat": predicted_heat,
-        "agreement": (can_cool == predicted_cool) and (can_heat == predicted_heat),
+        "agreement": (verdict.can_cool == predicted_cool) and (verdict.can_heat == predicted_heat),
     }
     warnings: list[str] = []
     if args.random is not None:

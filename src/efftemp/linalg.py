@@ -59,22 +59,25 @@ def as_square(a, name: str = "matrix") -> np.ndarray:
 
 
 def check_hermitian(a, tol: float = HERMITIAN_TOL, name: str = "operator") -> np.ndarray:
-    """Validate Hermiticity within `tol` and return the array."""
+    """Validate Hermiticity within `tol` and return the array; NaN fails."""
     arr = as_square(a, name)
     dev = np.abs(arr - arr.conj().T).max()
-    if dev > tol:
+    if not dev <= tol:
         raise ValidationError(f"{name} is not Hermitian: max deviation {dev:.3e} > {tol:.0e}")
     return arr
 
 
 def check_density_matrix(rho, name: str = "state") -> np.ndarray:
-    """Validate Hermiticity, unit trace and nonnegative spectrum of a state."""
+    """Validate Hermiticity, unit trace and nonnegative spectrum of a state.
+
+    Each comparison is written so that a NaN fails it.
+    """
     arr = check_hermitian(rho, STATE_HERMITIAN_TOL, name)
     tr = complex(np.trace(arr))
-    if abs(tr - 1.0) > TRACE_TOL:
+    if not abs(tr - 1.0) <= TRACE_TOL:
         raise ValidationError(f"{name} trace {tr:.12g} differs from 1 beyond {TRACE_TOL:.0e}")
     w = np.linalg.eigvalsh(arr)
-    if w.min() < EIG_FLOOR:
+    if not w.min() >= EIG_FLOOR:
         raise ValidationError(f"{name} has negative eigenvalue {w.min():.3e}")
     return arr
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import linalg, simplex, temperatures
 from .linalg import ValidationError
-from .thermal import QuantumSystem, check_energy_levels
+from .thermal import QuantumSystem, check_energy_levels, gibbs_populations
 
 ORACLE_DIM_CAP = 6
 SIGN_MARGIN = 1e-9       # numerical margin realizing strict heat-sign inequalities
@@ -40,7 +40,7 @@ class GibbsStochasticLP:
         e = check_energy_levels(self.energies)
         if p.ndim != 1 or p.size != e.size:
             raise ValidationError("populations must match the energy ladder")
-        if p.min() < -1e-12 or abs(p.sum() - 1.0) > 1e-10:
+        if not (p.min() >= -1e-12 and abs(p.sum() - 1.0) <= 1e-10):  # NaN fails
             raise ValidationError("populations must be a probability vector (1e-10)")
         if not math.isfinite(self.beta_bath):
             raise ValidationError("bath inverse temperature must be finite")
@@ -64,6 +64,20 @@ class HeatOptimum:
 
 
 @dataclass(frozen=True)
+class HeatVerdict:
+    """Heat-sign verdicts at one bath temperature with the two LP optima.
+
+    gain maximizes and loss minimizes the system's energy change; can_cool
+    is gain > SIGN_MARGIN and can_heat is loss < -SIGN_MARGIN.
+    """
+
+    can_cool: bool
+    can_heat: bool
+    gain: HeatOptimum
+    loss: HeatOptimum
+
+
+@dataclass(frozen=True)
 class CoolingProtocol:
     """Resonant two-level swap against a qubit thermometer.
 
@@ -82,16 +96,6 @@ class CoolingProtocol:
     beta_max: float
 
 
-def gibbs_weights(energies, beta: float) -> np.ndarray:
-    """Normalized Gibbs weight vector exp(-beta e)/Z (finite beta, any sign)."""
-    e = check_energy_levels(energies)
-    if not math.isfinite(beta):
-        raise ValidationError("Gibbs weights need a finite inverse temperature")
-    t = beta * e
-    w = np.exp(-(t - t.min()))
-    return w / w.sum()
-
-
 def max_energy_gain(lp: GibbsStochasticLP) -> HeatOptimum:
     """Optimize the system energy change over the Gibbs-stochastic polytope.
 
@@ -104,7 +108,7 @@ def max_energy_gain(lp: GibbsStochasticLP) -> HeatOptimum:
     if d > ORACLE_DIM_CAP:
         raise ValidationError(f"oracle dimension cap is {ORACLE_DIM_CAP}, got {d}")
     e, p = lp.energies, lp.populations
-    g = gibbs_weights(e, lp.beta_bath)
+    g = gibbs_populations(e, lp.beta_bath)
 
     nvar = d * d  # G[i, j] -> x[i*d + j]
     a_eq = np.zeros((2 * d, nvar))
@@ -137,24 +141,26 @@ def max_energy_gain(lp: GibbsStochasticLP) -> HeatOptimum:
     return HeatOptimum(value=value, matrix=G, status="optimal")
 
 
-def heat_sign_oracle(system: QuantumSystem, beta_bath: float) -> tuple[bool, bool]:
-    """(can_cool, can_heat) verdicts for a bath at the given inverse temperature.
+def heat_sign_oracle(system: QuantumSystem, beta_bath: float) -> HeatVerdict:
+    """Cool/heat verdicts for a bath at the given inverse temperature.
 
     can_cool: some thermometer at beta_bath loses energy, i.e. the system
     can gain energy under a Gibbs-stochastic map; can_heat symmetrically.
     Strict inequalities are realized with a 1e-9 margin, since the simplex
-    returns exact vertices up to float noise.
+    returns exact vertices up to float noise.  The two optima that decide
+    the verdicts are returned with them.
     """
     if system.dim > ORACLE_DIM_CAP:
         raise ValidationError(f"oracle dimension cap is {ORACLE_DIM_CAP}, got {system.dim}")
     p = system.populations
-    gain = max_energy_gain(
-        GibbsStochasticLP(p, system.energies, beta_bath, sense="maximize")
-    ).value
-    loss = max_energy_gain(
-        GibbsStochasticLP(p, system.energies, beta_bath, sense="minimize")
-    ).value
-    return bool(gain > SIGN_MARGIN), bool(loss < -SIGN_MARGIN)
+    gain = max_energy_gain(GibbsStochasticLP(p, system.energies, beta_bath, sense="maximize"))
+    loss = max_energy_gain(GibbsStochasticLP(p, system.energies, beta_bath, sense="minimize"))
+    return HeatVerdict(
+        can_cool=bool(gain.value > SIGN_MARGIN),
+        can_heat=bool(loss.value < -SIGN_MARGIN),
+        gain=gain,
+        loss=loss,
+    )
 
 
 def build_cooling_protocol(system: QuantumSystem, beta_bath: float) -> CoolingProtocol:
@@ -262,12 +268,9 @@ def equivalence_trials(
         pair = temperatures.single_copy_effective(system)
         for _ in range(baths_per_system):
             beta_bath = float(rng.uniform(-3.0, 3.0))
-            can_cool, can_heat = heat_sign_oracle(system, beta_bath)
-            g = gibbs_weights(system.energies, beta_bath)
-            for sense in ("maximize", "minimize"):
-                opt = max_energy_gain(
-                    GibbsStochasticLP(system.populations, system.energies, beta_bath, sense)
-                )
+            verdict = heat_sign_oracle(system, beta_bath)
+            g = gibbs_populations(system.energies, beta_bath)
+            for opt in (verdict.gain, verdict.loss):
                 residual = max(
                     residual,
                     float(np.abs(opt.matrix.sum(axis=0) - 1.0).max()),
@@ -276,7 +279,7 @@ def equivalence_trials(
             predicted_cool = temperatures.hotter_than(beta_bath, pair.beta_c)
             predicted_heat = temperatures.hotter_than(pair.beta_h, beta_bath)
             cases += 1
-            if can_cool != predicted_cool or can_heat != predicted_heat:
+            if verdict.can_cool != predicted_cool or verdict.can_heat != predicted_heat:
                 disagreements += 1
     return EquivalenceReport(
         cases=cases, disagreements=disagreements, max_polytope_residual=residual

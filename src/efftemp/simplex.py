@@ -1,4 +1,4 @@
-"""Standard-form linear programming front end over the simplex kernel."""
+"""Equality-form linear programming front end over the simplex kernel."""
 
 from __future__ import annotations
 
@@ -29,26 +29,19 @@ class LPResult:
     status: str
 
 
-def backend() -> str:
-    """Active kernel backend, 'numba' or 'numpy'."""
-    return _kernels.BACKEND
-
-
 def solve_lp(
     c,
-    a_eq=None,
-    b_eq=None,
-    a_ub=None,
-    b_ub=None,
+    a_eq,
+    b_eq,
     maximize: bool = False,
     tol: float = DEFAULT_PIVOT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> LPResult:
-    """Solve min (or max) c @ x over {A_eq x = b_eq, A_ub x <= b_ub, x >= 0}.
+    """Solve min (or max) c @ x over {A_eq x = b_eq, x >= 0}.
 
-    Inequalities are converted to equalities with slack variables and the
-    two-phase simplex with Bland's rule returns a vertex of the feasible
-    polytope.  Redundant equality rows are tolerated.
+    The two-phase simplex with Bland's rule returns a vertex of the feasible
+    polytope.  Redundant equality rows are tolerated; an inequality enters
+    as an equality row with its own slack column.
 
     Raises InfeasibleProblem / UnboundedProblem, or SolverError when the
     iteration cap is hit or the vertex fails the 1e-9 feasibility check.
@@ -57,44 +50,14 @@ def solve_lp(
     if cost.ndim != 1 or cost.size == 0:
         raise ValidationError("objective vector must be 1-d and non-empty")
     n = cost.size
-
-    rows = []
-    rhs = []
-    if a_eq is not None:
-        a_eq = np.atleast_2d(np.asarray(a_eq, dtype=float))
-        b_eq = np.atleast_1d(np.asarray(b_eq, dtype=float))
-        if a_eq.shape != (b_eq.size, n):
-            raise ValidationError(f"A_eq shape {a_eq.shape} incompatible with n={n}")
-        rows.append(a_eq)
-        rhs.append(b_eq)
-    n_slack = 0
-    if a_ub is not None:
-        a_ub = np.atleast_2d(np.asarray(a_ub, dtype=float))
-        b_ub = np.atleast_1d(np.asarray(b_ub, dtype=float))
-        if a_ub.shape != (b_ub.size, n):
-            raise ValidationError(f"A_ub shape {a_ub.shape} incompatible with n={n}")
-        n_slack = b_ub.size
-        rows.append(a_ub)
-        rhs.append(b_ub)
-    if not rows:
-        raise ValidationError("at least one constraint block is required")
-
-    m = sum(block.shape[0] for block in rows)
-    A = np.zeros((m, n + n_slack))
-    b = np.concatenate(rhs)
-    r0 = 0
-    for block in rows:
-        A[r0 : r0 + block.shape[0], :n] = block
-        r0 += block.shape[0]
-    if n_slack:
-        A[m - n_slack :, n:] = np.eye(n_slack)
+    A = np.atleast_2d(np.asarray(a_eq, dtype=float))
+    b = np.atleast_1d(np.asarray(b_eq, dtype=float))
+    if A.shape != (b.size, n):
+        raise ValidationError(f"A_eq shape {A.shape} incompatible with n={n}")
     if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b)) and np.all(np.isfinite(cost))):
         raise ValidationError("LP data must be finite")
 
-    c_full = np.zeros(n + n_slack)
-    c_full[:n] = -cost if maximize else cost
-
-    status, x_full = _kernels.simplex_kernel(A, b, c_full, tol, max_iter)
+    status, x = _kernels.simplex_kernel(A, b, -cost if maximize else cost, tol, max_iter)
     if status == _kernels.INFEASIBLE:
         raise InfeasibleProblem("no feasible point satisfies the constraints")
     if status == _kernels.UNBOUNDED:
@@ -102,10 +65,8 @@ def solve_lp(
     if status == _kernels.ITERATION_LIMIT:
         raise SolverError(f"simplex iteration cap {max_iter} reached")
 
-    residual = np.abs(A @ x_full - b).max()
-    if residual > FEASIBILITY_TOL or x_full.min() < -FEASIBILITY_TOL:
+    residual = np.abs(A @ x - b).max()
+    if residual > FEASIBILITY_TOL or x.min() < -FEASIBILITY_TOL:
         raise SolverError(f"vertex failed feasibility check: residual {residual:.3e}")
 
-    x = x_full[:n].copy()
-    value = float(cost @ x)
-    return LPResult(value=value, x=x, status="optimal")
+    return LPResult(value=float(cost @ x), x=x, status="optimal")

@@ -31,6 +31,7 @@ from .linalg import SolverError, ValidationError
 from .thermal import QuantumSystem, gibbs_by_energy
 
 ZERO_POPULATION = 1e-15
+# cap on the multisets of levels a tensor-power query enumerates
 TENSOR_POWER_CAP = 10**6
 # relative tolerance for clustering sums of energies in tensor powers
 _GROUP_RTOL = 1e-9
@@ -183,8 +184,12 @@ def tensor_power_effective(system: QuantumSystem, n: int) -> EffectiveTempPair:
     if n < 1:
         raise ValidationError(f"copy count must be >= 1, got {n}")
     d = system.dim
-    if d**n > TENSOR_POWER_CAP:
-        raise ValidationError(f"{d}**{n} exceeds the tensor-power cap {TENSOR_POWER_CAP}")
+    multisets = math.comb(n + d - 1, d - 1)
+    if multisets > TENSOR_POWER_CAP:
+        raise ValidationError(
+            f"{multisets} multisets of {n} copies of {d} levels exceed the "
+            f"tensor-power cap {TENSOR_POWER_CAP}"
+        )
     e = system.energies
     rho_e = linalg.dephase(system.rho_energy_basis, e)
     p = _clean_populations(np.diag(rho_e).real)

@@ -148,12 +148,6 @@ def gibbs_by_beta(energies, beta: float) -> GibbsSolveResult:
     return _result_from_populations(e, float(beta), gibbs_populations(e, beta))
 
 
-def mean_energy_at(energies, beta: float) -> float:
-    """Mean energy of the Gibbs state at inverse temperature beta."""
-    e = check_energy_levels(energies)
-    return float(gibbs_populations(e, beta) @ e)
-
-
 def gibbs_by_energy(energies, target_energy: float) -> GibbsSolveResult:
     """Invert beta |-> mean energy by bisection.
 

@@ -74,6 +74,21 @@ class TestSingle:
         code, report = run_cli(capsys, "single", str(path))
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"energies": "abc", "populations": [0.5, 0.5]},
+            {"energies": [0, 1], "populations": ["x", 1]},
+            {"energies": [0, 1], "rho_re": [[0.5, 0.0], [0.0]]},
+        ],
+        ids=["energies", "population", "ragged-rho"],
+    )
+    def test_non_numeric_input_exits_1(self, capsys, tmp_path, doc):
+        path = write_json(tmp_path / "bad.json", doc)
+        code, report = run_cli(capsys, "single", path)
+        assert code == 1 and report["status"] == 1
+        assert "numeric" in report["error"]
+
     def test_vts_csv_roundtrip(self, capsys, rotated_qutrit_file, tmp_path):
         out = tmp_path / "vts.csv"
         code, report = run_cli(capsys, "single", rotated_qutrit_file, "--out", str(out))
@@ -133,6 +148,12 @@ class TestAsymptotic:
     def test_bracket_violation_exits_2(self, capsys, mixed_qubit_file):
         code, report = run_cli(capsys, "asymptotic", mixed_qubit_file, "--delta", "0.7")
         assert code == 2 and report["status"] == 2
+
+    def test_null_population_exits_1(self, capsys, tmp_path):
+        # JSON null becomes NaN, which must fail validation, not the solver
+        path = write_json(tmp_path / "null.json", {"energies": [0, 1], "populations": [None, 1]})
+        code, report = run_cli(capsys, "asymptotic", path, "--delta", "0.1")
+        assert code == 1 and report["status"] == 1
 
     def test_expansion_block(self, capsys, mixed_qubit_file):
         code, report = run_cli(

@@ -216,6 +216,11 @@ class TestValidation:
         with pytest.raises(ValidationError):
             linalg.check_density_matrix(np.diag([1.1, -0.1]))
 
+    def test_nan_off_diagonal(self):
+        rho = np.array([[0.5, np.nan], [np.nan, 0.5]])
+        with pytest.raises(ValidationError):
+            linalg.check_density_matrix(rho)
+
     def test_dimension_cap_override(self, monkeypatch):
         monkeypatch.setenv("EFFTEMP_MAX_DIM", "3")
         with pytest.raises(ValidationError, match="cap"):

@@ -9,13 +9,12 @@ from efftemp.linalg import ValidationError
 from efftemp.oracle import (
     GibbsStochasticLP,
     build_cooling_protocol,
-    gibbs_weights,
     heat_sign_oracle,
     max_energy_gain,
     simulated_protocol_heat,
 )
 from efftemp.temperatures import single_copy_effective
-from efftemp.thermal import gibbs_by_beta
+from efftemp.thermal import gibbs_by_beta, gibbs_populations
 
 ROTATED_QUTRIT_DIAG = np.array([4 + np.sqrt(2), 4 - 2 * np.sqrt(2), 4 + np.sqrt(2)]) / 12
 QUBIT = diag_system([0.0, 1.0], [0.8, 0.2])
@@ -53,7 +52,7 @@ class TestMaxEnergyGain:
             p = rng.dirichlet(np.ones(dim))
             beta = float(rng.uniform(-2.0, 2.0))
             opt = max_energy_gain(GibbsStochasticLP(p, e, beta, "maximize"))
-            g = gibbs_weights(e, beta)
+            g = gibbs_populations(e, beta)
             assert np.abs(opt.matrix.sum(axis=0) - 1.0).max() <= 1e-9
             assert np.abs(opt.matrix @ g - g).max() <= 1e-9
             assert opt.matrix.min() >= -1e-9
@@ -78,16 +77,31 @@ class TestHeatSignOracle:
     def test_equilibrium(self, rng):
         e = random_energies(rng, 3)
         system = diag_system(e, gibbs_by_beta(e, 1.1).populations)
-        assert heat_sign_oracle(system, 1.1) == (False, False)
+        verdict = heat_sign_oracle(system, 1.1)
+        assert (verdict.can_cool, verdict.can_heat) == (False, False)
 
     def test_rotated_qutrit_state_both_ways(self):
         system = diag_system([0.0, 1.0, 2.0], ROTATED_QUTRIT_DIAG)
         # |0.5| is inside the +/-1.5307 window, so both directions open
-        assert heat_sign_oracle(system, 0.5) == (True, True)
+        verdict = heat_sign_oracle(system, 0.5)
+        assert (verdict.can_cool, verdict.can_heat) == (True, True)
 
     def test_inverted_qubit(self):
         inverted = diag_system([0.0, 1.0], [0.2, 0.8])
-        assert heat_sign_oracle(inverted, 2.0) == (False, True)
+        verdict = heat_sign_oracle(inverted, 2.0)
+        assert (verdict.can_cool, verdict.can_heat) == (False, True)
+
+    def test_returns_the_deciding_optima(self):
+        system = diag_system([0.0, 1.0, 2.0], ROTATED_QUTRIT_DIAG)
+        verdict = heat_sign_oracle(system, 0.5)
+        for opt, sense in ((verdict.gain, "maximize"), (verdict.loss, "minimize")):
+            again = max_energy_gain(
+                GibbsStochasticLP(system.populations, system.energies, 0.5, sense)
+            )
+            assert opt.value == again.value
+            assert np.array_equal(opt.matrix, again.matrix)
+        assert verdict.can_cool == (verdict.gain.value > oracle.SIGN_MARGIN)
+        assert verdict.can_heat == (verdict.loss.value < -oracle.SIGN_MARGIN)
 
     def test_dimension_cap(self):
         system = diag_system(np.arange(7.0), np.ones(7) / 7)
@@ -156,6 +170,10 @@ class TestGibbsStochasticLPValidation:
     def test_rejects_bad_populations(self):
         with pytest.raises(ValidationError):
             GibbsStochasticLP(np.array([0.7, 0.7]), np.array([0.0, 1.0]), 1.0)
+
+    def test_rejects_nan_population(self):
+        with pytest.raises(ValidationError):
+            GibbsStochasticLP(np.array([np.nan, 1.0]), np.array([0.0, 1.0]), 1.0)
 
     def test_rejects_bad_sense(self):
         with pytest.raises(ValidationError):

@@ -171,9 +171,20 @@ class TestTensorPower:
         assert pairs[-1].beta_c > pairs[0].beta_c  # strictly broadens overall
 
     def test_size_cap(self):
+        # C(29, 9) > 10**6 multisets of 20 copies of 10 levels
         system = diag_system(np.arange(10.0), np.ones(10) / 10)
         with pytest.raises(ValidationError, match="cap"):
-            tensor_power_effective(system, 7)
+            tensor_power_effective(system, 20)
+
+    def test_cap_counts_multisets_not_indices(self):
+        from efftemp.catalysis import QUTRIT_ENERGIES, qutrit_state
+
+        # 3**13 > 10**6 indices, but only C(15, 2) = 105 multisets are enumerated
+        system = QuantumSystem(energies=QUTRIT_ENERGIES, rho=qutrit_state(0.5, 1.0))
+        twelve = tensor_power_effective(system, 12)
+        thirteen = tensor_power_effective(system, 13)
+        assert thirteen.beta_c >= twelve.beta_c - 1e-9
+        assert thirteen.beta_h <= twelve.beta_h + 1e-9
 
 
 class TestAsymptotic:
