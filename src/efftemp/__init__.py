@@ -4,7 +4,6 @@ from .linalg import (
     BracketError,
     SolverError,
     ValidationError,
-    dephase,
     hermitian_eig,
     partial_trace,
     tensor_product,
@@ -17,15 +16,16 @@ from .thermal import (
     GibbsSolveResult,
     QuantumSystem,
     beta_free_energy,
-    energy_variance,
     free_energy,
     gibbs_by_beta,
     gibbs_by_energy,
     t_star,
 )
 from .temperatures import (
+    AsymptoticPair,
     AsymptoticRequest,
     EffectiveTempPair,
+    ExpansionPair,
     VirtualTempSpectrum,
     asymptotic_branch,
     asymptotic_effective,

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import linalg, temperatures
 from .linalg import SolverError, ValidationError
-from .thermal import QuantumSystem, gibbs_populations
+from .thermal import check_energy_levels, gibbs_populations
 
 FIXED_POINT_TOL = 1e-10
 EIGENVALUE_ONE_TOL = 1e-8
@@ -261,8 +261,8 @@ def run_time_series(config: JCConfig, cavity_state, atom_state) -> CatalysisResu
     joint0 = linalg.tensor_product(rho_a, atom0)
     joint0_v = v.conj().T @ joint0 @ v
 
-    e_cav = config.cavity_energies
-    e_atom = config.atom_energies
+    e_cav = check_energy_levels(config.cavity_energies)
+    e_atom = check_energy_levels(config.atom_energies)
     boundary_index = (n - 1) * 2 + 1
 
     rows = np.empty((config.time_grid.size, len(TIME_SERIES_COLUMNS)))
@@ -272,8 +272,8 @@ def run_time_series(config: JCConfig, cavity_state, atom_state) -> CatalysisResu
         joint = (v * phases) @ joint0_v @ (v * phases).conj().T
         sigma_a = linalg.partial_trace(joint, (n, 2), keep="first")
         sigma_r = linalg.partial_trace(joint, (n, 2), keep="second")
-        pair_a = temperatures.single_copy_effective(QuantumSystem(e_cav, sigma_a))
-        pair_r = temperatures.single_copy_effective(QuantumSystem(e_atom, sigma_r))
+        pair_a = temperatures.extremal_pair(e_cav, np.diag(sigma_a).real)
+        pair_r = temperatures.extremal_pair(e_atom, np.diag(sigma_r).real)
         rows[k] = (
             t,
             pair_a.beta_c,
@@ -384,7 +384,7 @@ def qutrit_catalyst_protocol(setup: QutritCatalystSetup) -> QutritProtocolResult
     joint = v @ linalg.tensor_product(setup.rho_a, setup.phi_r) @ v.conj().T
     sigma_a = linalg.partial_trace(joint, (3, 2), keep="first")
     sigma_r = linalg.partial_trace(joint, (3, 2), keep="second")
-    temps = temperatures.single_copy_effective(QuantumSystem(QUTRIT_ENERGIES, sigma_a))
+    temps = temperatures.extremal_pair(QUTRIT_ENERGIES, np.diag(sigma_a).real)
     correlation = linalg.trace_norm(joint - linalg.tensor_product(sigma_a, sigma_r))
     return QutritProtocolResult(sigma_a, sigma_r, temps, correlation)
 

@@ -17,6 +17,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -38,7 +39,16 @@ def _params_digest(params: dict) -> str:
     return _digest(json.dumps(params, sort_keys=True).encode())
 
 
+def _has_bool(value) -> bool:
+    """True if a parsed JSON value is, or holds at any depth, a boolean."""
+    kinds = set(map(type, value)) if isinstance(value, list) else {type(value)}
+    return bool in kinds or (list in kinds and any(map(_has_bool, value)))
+
+
 def _floats(path: str, field: str, value) -> np.ndarray:
+    # numpy reads true/false as 1/0, which would let a boolean pass as a number
+    if _has_bool(value):
+        raise ValidationError(f"{path}: {field} must be numeric, not boolean")
     try:
         return np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -103,6 +113,7 @@ def _jsonable(value):
 
 def _emit(report: dict) -> None:
     print(json.dumps(_jsonable(report), sort_keys=True, indent=2))
+    sys.stdout.flush()  # a closed pipe must fail here, inside main's handler
 
 
 def _write_csv(path: str, header: tuple[str, ...], rows) -> None:
@@ -163,9 +174,8 @@ def cmd_single(args) -> tuple[dict, list, str]:
 def cmd_asymptotic(args) -> tuple[dict, list, str]:
     system, digest = load_system_file(args.path)
     request = AsymptoticRequest(system=system, delta=args.delta)
-    cold = thermal.gibbs_by_energy(system.energies, system.mean_energy + args.delta)
-    hot = thermal.gibbs_by_energy(system.energies, system.mean_energy - args.delta)
     pair = temperatures.asymptotic_effective(request)
+    cold, hot = pair.cold, pair.hot
     results = {
         "delta": args.delta,
         "mean_energy": system.mean_energy,
@@ -178,12 +188,11 @@ def cmd_asymptotic(args) -> tuple[dict, list, str]:
     warnings: list[str] = []
     if args.expansion:
         expansion = temperatures.expansion_effective(request)
-        matched = thermal.gibbs_by_energy(system.energies, system.mean_energy)
         results["expansion"] = {
             "beta_c": expansion.beta_c,
             "beta_h": expansion.beta_h,
-            "beta_star": matched.beta,
-            "energy_variance": matched.energy_variance,
+            "beta_star": expansion.matched.beta,
+            "energy_variance": expansion.matched.energy_variance,
         }
     if args.kelvin:
         _add_kelvin(results, warnings, ("beta_c", "beta_h"))
@@ -399,15 +408,18 @@ def main(argv=None) -> int:
         results, warnings, digest = _COMMANDS[args.command](args)
     except ValidationError as exc:
         report.update(error=str(exc), status=1)
-        _emit(report)
-        return 1
     except SolverError as exc:
         report.update(error=str(exc), status=2)
+    else:
+        report.update(input_digest=digest, results=results, warnings=warnings, status=0)
+    try:
         _emit(report)
-        return 2
-    report.update(input_digest=digest, results=results, warnings=warnings, status=0)
-    _emit(report)
-    return 0
+    except BrokenPipeError:
+        # the reader is gone: point stdout at devnull so the flush at exit cannot fail
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return report["status"]
 
 
 if __name__ == "__main__":

@@ -8,8 +8,6 @@ pure function on immutable inputs, so the module is thread-safe.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 HERMITIAN_TOL = 1e-12        # Hamiltonians / observables
@@ -17,8 +15,7 @@ STATE_HERMITIAN_TOL = 1e-10  # density matrices
 TRACE_TOL = 1e-10
 EIG_FLOOR = -1e-10           # smallest eigenvalue still counted as nonnegative
 ENTROPY_CUTOFF = 1e-14       # eigenvalues below this contribute zero entropy
-
-DEFAULT_MAX_DIM = 4096
+MAX_DIM = 4096               # dimension cap for dense storage
 
 
 class ValidationError(ValueError):
@@ -33,34 +30,21 @@ class BracketError(SolverError):
     """A requested mean energy lies outside the reachable open interval."""
 
 
-def max_dim() -> int:
-    """Dimension cap for dense storage; EFFTEMP_MAX_DIM overrides the default."""
-    raw = os.environ.get("EFFTEMP_MAX_DIM", "").strip()
-    if raw:
-        try:
-            return int(raw)
-        except ValueError:
-            raise ValidationError(f"EFFTEMP_MAX_DIM must be an integer, got {raw!r}")
-    return DEFAULT_MAX_DIM
-
-
 def as_square(a, name: str = "matrix") -> np.ndarray:
     """Coerce to a complex square ndarray, enforcing the dense dimension cap."""
     arr = np.asarray(a, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
         raise ValidationError(f"{name} must be square, got shape {arr.shape}")
-    cap = max_dim()
-    if arr.shape[0] > cap:
-        raise ValidationError(
-            f"{name} dimension {arr.shape[0]} exceeds the dense cap {cap} "
-            "(set EFFTEMP_MAX_DIM to override)"
-        )
+    if arr.shape[0] > MAX_DIM:
+        raise ValidationError(f"{name} dimension {arr.shape[0]} exceeds the dense cap {MAX_DIM}")
     return arr
 
 
 def check_hermitian(a, tol: float = HERMITIAN_TOL, name: str = "operator") -> np.ndarray:
-    """Validate Hermiticity within `tol` and return the array; NaN fails."""
+    """Validate finite entries and Hermiticity within `tol`; return the array."""
     arr = as_square(a, name)
+    if not np.isfinite(arr).all():
+        raise ValidationError(f"{name} must be finite: it has a NaN or infinite entry")
     dev = np.abs(arr - arr.conj().T).max()
     if not dev <= tol:
         raise ValidationError(f"{name} is not Hermitian: max deviation {dev:.3e} > {tol:.0e}")
@@ -68,10 +52,7 @@ def check_hermitian(a, tol: float = HERMITIAN_TOL, name: str = "operator") -> np
 
 
 def check_density_matrix(rho, name: str = "state") -> np.ndarray:
-    """Validate Hermiticity, unit trace and nonnegative spectrum of a state.
-
-    Each comparison is written so that a NaN fails it.
-    """
+    """Validate finite entries, Hermiticity, unit trace and nonnegative spectrum."""
     arr = check_hermitian(rho, STATE_HERMITIAN_TOL, name)
     tr = complex(np.trace(arr))
     if not abs(tr - 1.0) <= TRACE_TOL:
@@ -100,9 +81,9 @@ def tensor_product(a, b) -> np.ndarray:
     """Kronecker product; entry ((i,k),(j,l)) = a_ij * b_kl."""
     aa = as_square(a, "first factor")
     bb = as_square(b, "second factor")
-    if aa.shape[0] * bb.shape[0] > max_dim():
+    if aa.shape[0] * bb.shape[0] > MAX_DIM:
         raise ValidationError(
-            f"product dimension {aa.shape[0] * bb.shape[0]} exceeds the dense cap {max_dim()}"
+            f"product dimension {aa.shape[0] * bb.shape[0]} exceeds the dense cap {MAX_DIM}"
         )
     return np.kron(aa, bb)
 
@@ -129,23 +110,6 @@ def energy_equal_tol(energies: np.ndarray) -> float:
     """Tolerance under which two energy levels count as degenerate."""
     scale = max(1.0, float(np.abs(energies).max())) if len(energies) else 1.0
     return 1e-12 * scale
-
-
-def dephase(rho, energies) -> np.ndarray:
-    """Zero the matrix elements between distinct energy eigenvalues.
-
-    Entries inside a degenerate energy block survive; the diagonal is
-    untouched bit-for-bit.
-    """
-    arr = as_square(rho, "state")
-    e = np.asarray(energies, dtype=float)
-    if e.ndim != 1 or len(e) != arr.shape[0]:
-        raise ValidationError("energies must be a 1-d list matching the state dimension")
-    tol = energy_equal_tol(e)
-    keep = np.abs(e[:, None] - e[None, :]) <= tol
-    out = np.where(keep, arr, 0.0)
-    np.fill_diagonal(out, np.diag(arr))
-    return out
 
 
 def entropy_of_probabilities(p: np.ndarray) -> float:

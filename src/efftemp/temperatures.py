@@ -26,9 +26,9 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from . import linalg, thermal
+from . import linalg
 from .linalg import SolverError, ValidationError
-from .thermal import QuantumSystem, gibbs_by_energy
+from .thermal import GibbsSolveResult, QuantumSystem, gibbs_by_energy
 
 ZERO_POPULATION = 1e-15
 # cap on the multisets of levels a tensor-power query enumerates
@@ -101,16 +101,9 @@ def _pair_beta(p_low: float, p_high: float, gap: float) -> float | None:
     return math.log(p_low / p_high) / gap
 
 
-def virtual_spectrum(system: QuantumSystem) -> VirtualTempSpectrum:
-    """Virtual temperature spectrum of the dephased state.
-
-    Coherences never enter: the populations are read from the dephased state
-    in the energy eigenbasis.  Degenerate pairs (equal energies) carry no
-    virtual temperature and are excluded.
-    """
-    e = system.energies
-    rho_e = linalg.dephase(system.rho_energy_basis, e)
-    p = _clean_populations(np.diag(rho_e).real)
+def _spectrum_entries(e: np.ndarray, populations: np.ndarray) -> list[tuple[int, int, float]]:
+    """(i, j, beta_ij) over the level pairs with distinct energies."""
+    p = _clean_populations(populations)
     tol = linalg.energy_equal_tol(e)
     entries = []
     for i in range(len(e)):
@@ -121,18 +114,36 @@ def virtual_spectrum(system: QuantumSystem) -> VirtualTempSpectrum:
             beta = _pair_beta(p[i], p[j], gap)
             if beta is not None:
                 entries.append((i, j, beta))
+    return entries
+
+
+def virtual_spectrum(system: QuantumSystem) -> VirtualTempSpectrum:
+    """Virtual temperature spectrum of the dephased state.
+
+    Coherences never enter: the populations are read from the dephased state
+    in the energy eigenbasis.  Degenerate pairs (equal energies) carry no
+    virtual temperature and are excluded.
+    """
+    entries = _spectrum_entries(system.energies, system.populations)
     return VirtualTempSpectrum(entries=tuple(entries))
 
 
-def single_copy_effective(system: QuantumSystem) -> EffectiveTempPair:
-    """Extremal inverse virtual temperatures (beta_c = max, beta_h = min)."""
-    spectrum = virtual_spectrum(system)
-    if len(spectrum) == 0:
+def extremal_pair(energies: np.ndarray, populations: np.ndarray) -> EffectiveTempPair:
+    """Extremal inverse virtual temperatures (beta_c = max, beta_h = min).
+
+    Unchecked: `energies` must be ascending, `populations` a valid state's diagonal.
+    """
+    betas = np.array([b for _, _, b in _spectrum_entries(energies, populations)])
+    if betas.size == 0:
         raise ValidationError(
             "effective temperatures are undefined: all energy levels are degenerate"
         )
-    betas = spectrum.betas()
     return EffectiveTempPair(beta_c=float(betas.max()), beta_h=float(betas.min()))
+
+
+def single_copy_effective(system: QuantumSystem) -> EffectiveTempPair:
+    """Extremal inverse virtual temperatures of a validated state."""
+    return extremal_pair(system.energies, system.populations)
 
 
 def _energy_groups(energies: np.ndarray, log_pops: np.ndarray, n: int):
@@ -191,8 +202,7 @@ def tensor_power_effective(system: QuantumSystem, n: int) -> EffectiveTempPair:
             f"tensor-power cap {TENSOR_POWER_CAP}"
         )
     e = system.energies
-    rho_e = linalg.dephase(system.rho_energy_basis, e)
-    p = _clean_populations(np.diag(rho_e).real)
+    p = _clean_populations(system.populations)
     with np.errstate(divide="ignore"):
         logp = np.where(p > 0.0, np.log(np.where(p > 0.0, p, 1.0)), -math.inf)
     groups = _energy_groups(e, logp, n)
@@ -223,6 +233,31 @@ def tensor_power_effective(system: QuantumSystem, n: int) -> EffectiveTempPair:
     return EffectiveTempPair(beta_c=beta_c, beta_h=beta_h)
 
 
+@dataclass(frozen=True)
+class AsymptoticPair(EffectiveTempPair):
+    """Asymptotic temperatures with the Gibbs solves at E + delta and E - delta."""
+
+    cold: GibbsSolveResult
+    hot: GibbsSolveResult
+
+
+@dataclass(frozen=True)
+class ExpansionPair(EffectiveTempPair):
+    """Small-delta expansion with the Gibbs solve matching the mean energy E."""
+
+    matched: GibbsSolveResult
+
+
+def _branch_solve(request: AsymptoticRequest, branch: str, s_rho: float):
+    """(beta, Gibbs solve) of one asymptotic branch, given S(rho)."""
+    sign = {"cold": 1.0, "hot": -1.0}.get(branch)
+    if sign is None:
+        raise ValidationError(f"branch must be 'cold' or 'hot', got {branch!r}")
+    system, delta = request.system, request.delta
+    solve = gibbs_by_energy(system.energies, system.mean_energy + sign * delta)
+    return sign * (solve.entropy - s_rho) / delta, solve
+
+
 def asymptotic_branch(request: AsymptoticRequest, branch: str) -> float:
     """One branch of the heat-constrained asymptotic temperatures.
 
@@ -233,27 +268,18 @@ def asymptotic_branch(request: AsymptoticRequest, branch: str) -> float:
     shifted mean energy must stay strictly inside the spectrum; otherwise a
     BracketError propagates from the Gibbs inversion.
     """
-    system, delta = request.system, request.delta
-    s_rho = system.entropy()
-    energy = system.mean_energy
-    if branch == "cold":
-        solve = gibbs_by_energy(system.energies, energy + delta)
-        return (solve.entropy - s_rho) / delta
-    if branch == "hot":
-        solve = gibbs_by_energy(system.energies, energy - delta)
-        return (s_rho - solve.entropy) / delta
-    raise ValidationError(f"branch must be 'cold' or 'hot', got {branch!r}")
+    return _branch_solve(request, branch, request.system.entropy())[0]
 
 
-def asymptotic_effective(request: AsymptoticRequest) -> EffectiveTempPair:
+def asymptotic_effective(request: AsymptoticRequest) -> AsymptoticPair:
     """Both asymptotic branches; requires E +/- delta inside the spectrum."""
-    return EffectiveTempPair(
-        beta_c=asymptotic_branch(request, "cold"),
-        beta_h=asymptotic_branch(request, "hot"),
-    )
+    s_rho = request.system.entropy()
+    beta_c, cold = _branch_solve(request, "cold", s_rho)
+    beta_h, hot = _branch_solve(request, "hot", s_rho)
+    return AsymptoticPair(beta_c=beta_c, beta_h=beta_h, cold=cold, hot=hot)
 
 
-def expansion_effective(request: AsymptoticRequest) -> EffectiveTempPair:
+def expansion_effective(request: AsymptoticRequest) -> ExpansionPair:
     """Small-delta expansion of the asymptotic temperatures.
 
         beta_c ~  dS/delta + beta*(E) - delta / (2 Var)
@@ -265,16 +291,17 @@ def expansion_effective(request: AsymptoticRequest) -> EffectiveTempPair:
     """
     system, delta = request.system, request.delta
     solve = gibbs_by_energy(system.energies, system.mean_energy)
-    var = thermal.energy_variance(solve)
+    var = solve.energy_variance
     if var <= 0.0:
         raise SolverError("energy variance of the matched Gibbs state vanishes")
     # the Gibbs state is the entropy maximizer at fixed mean energy; clamp
     # float noise so the leading term keeps its sign
     ds = max(0.0, solve.entropy - system.entropy())
     curvature = delta / (2.0 * var)
-    return EffectiveTempPair(
+    return ExpansionPair(
         beta_c=ds / delta + solve.beta - curvature,
         beta_h=-ds / delta + solve.beta + curvature,
+        matched=solve,
     )
 
 

@@ -30,8 +30,8 @@ def check_energy_levels(energies) -> np.ndarray:
         raise ValidationError("energies must be finite")
     if np.any(np.diff(e) < 0):
         raise ValidationError("energies must be sorted in ascending order")
-    if e.size > linalg.max_dim():
-        raise ValidationError(f"spectrum size {e.size} exceeds the dense cap {linalg.max_dim()}")
+    if e.size > linalg.MAX_DIM:
+        raise ValidationError(f"spectrum size {e.size} exceeds the dense cap {linalg.MAX_DIM}")
     return e
 
 
@@ -120,7 +120,11 @@ def gibbs_populations(energies, beta: float) -> np.ndarray:
     largest weight is exactly 1.  beta = +inf (-inf) puts uniform weight on
     the ground (top) degenerate subspace.
     """
-    e = check_energy_levels(energies)
+    return _gibbs_populations(check_energy_levels(energies), beta)
+
+
+def _gibbs_populations(e: np.ndarray, beta: float) -> np.ndarray:
+    """gibbs_populations on an energy ladder the caller has already validated."""
     if math.isinf(beta):
         edge = e.min() if beta > 0 else e.max()
         mask = np.abs(e - edge) <= linalg.energy_equal_tol(e)
@@ -145,7 +149,7 @@ def _result_from_populations(e: np.ndarray, beta: float, p: np.ndarray) -> Gibbs
 def gibbs_by_beta(energies, beta: float) -> GibbsSolveResult:
     """Gibbs state exp(-beta H)/Z on the given energy ladder."""
     e = check_energy_levels(energies)
-    return _result_from_populations(e, float(beta), gibbs_populations(e, beta))
+    return _result_from_populations(e, float(beta), _gibbs_populations(e, beta))
 
 
 def gibbs_by_energy(energies, target_energy: float) -> GibbsSolveResult:
@@ -180,7 +184,7 @@ def gibbs_by_energy(energies, target_energy: float) -> GibbsSolveResult:
         )
 
     def mean(b: float) -> float:
-        return float(gibbs_populations(e, b) @ e)
+        return float(_gibbs_populations(e, b) @ e)
 
     e0 = mean(0.0)
     if target == e0:
@@ -245,11 +249,3 @@ def free_energy(system: QuantumSystem, beta: float) -> float:
     if beta == 0.0:
         raise ValidationError("free energy diverges at beta = 0; use beta_free_energy")
     return beta_free_energy(system, beta) / float(beta)
-
-
-def energy_variance(result: GibbsSolveResult) -> float:
-    """Energy variance of a Gibbs solve; zero only on a single energy shell."""
-    var = float(result.energy_variance)
-    if var < 0.0:
-        raise ValidationError(f"negative energy variance {var:.3e}")
-    return var

@@ -95,6 +95,25 @@ class TestTimeSeries:
         for col in (1, 2, 3, 4):
             assert np.ptp(series[:, col]) <= 1e-10
 
+    @pytest.mark.parametrize("fock", [3, 8])
+    def test_rows_match_validated_states(self, fock):
+        # the series reads each marginal's populations without building a
+        # validated QuantumSystem; that path must give the same bits
+        config = JCConfig(fock_levels=fock, time_grid=default_time_grid(steps=40))
+        cavity = uniform_superposition_state(fock)
+        atom = solve_catalyst_fixed_point(config, cavity).catalyst_state
+        rows = run_time_series(config, cavity, atom).time_series
+        w, v = linalg.hermitian_eig(jc_hamiltonian(config))
+        joint0_v = v.conj().T @ linalg.tensor_product(cavity, atom) @ v
+        for row, t in zip(rows, config.time_grid):
+            phases = np.exp(-1j * w * t)
+            joint = (v * phases) @ joint0_v @ (v * phases).conj().T
+            sigma_a = linalg.partial_trace(joint, (fock, 2), keep="first")
+            sigma_r = linalg.partial_trace(joint, (fock, 2), keep="second")
+            pair_a = single_copy_effective(QuantumSystem(config.cavity_energies, sigma_a))
+            pair_r = single_copy_effective(QuantumSystem(config.atom_energies, sigma_r))
+            assert tuple(row[1:5]) == (pair_a.beta_c, pair_a.beta_h, pair_r.beta_c, pair_r.beta_h)
+
     def test_uniform_cavity_starts_at_beta_zero(self):
         result = solve_catalyst_fixed_point(DEFAULT_CONFIG, uniform_superposition_state(3))
         series = run_time_series(
@@ -176,6 +195,11 @@ class TestQutritProtocol:
         assert np.abs(np.diag(result.sigma_a).real - expected).max() <= 1e-12
         assert result.temps.beta_c == pytest.approx(ROTATED_QUTRIT_BETA, abs=1e-9)
         assert result.temps.beta_h == pytest.approx(-ROTATED_QUTRIT_BETA, abs=1e-9)
+
+    def test_temperatures_match_validated_state(self):
+        run = qutrit_catalyst_protocol(QutritCatalystSetup(lam=0.6, beta=0.4))
+        pair = single_copy_effective(QuantumSystem(QUTRIT_ENERGIES, run.sigma_a))
+        assert (run.temps.beta_c, run.temps.beta_h) == (pair.beta_c, pair.beta_h)
 
     def test_catalyst_marginal_preserved(self):
         setup = QutritCatalystSetup(lam=1.0, beta=0.0)

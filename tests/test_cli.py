@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -89,6 +90,21 @@ class TestSingle:
         assert code == 1 and report["status"] == 1
         assert "numeric" in report["error"]
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"energies": [False, True], "populations": [True, False]},
+            {"energies": [0, 1], "populations": [True, 0.0]},
+            {"energies": [0, 1], "rho_re": [[0.5, 0.0], [False, 0.5]]},
+        ],
+        ids=["all-boolean", "mixed-list", "rho-entry"],
+    )
+    def test_boolean_input_exits_1(self, capsys, tmp_path, doc):
+        path = write_json(tmp_path / "bool.json", doc)
+        code, report = run_cli(capsys, "single", path)
+        assert code == 1 and report["status"] == 1
+        assert "must be numeric, not boolean" in report["error"]
+
     def test_vts_csv_roundtrip(self, capsys, rotated_qutrit_file, tmp_path):
         out = tmp_path / "vts.csv"
         code, report = run_cli(capsys, "single", rotated_qutrit_file, "--out", str(out))
@@ -154,6 +170,7 @@ class TestAsymptotic:
         path = write_json(tmp_path / "null.json", {"energies": [0, 1], "populations": [None, 1]})
         code, report = run_cli(capsys, "asymptotic", path, "--delta", "0.1")
         assert code == 1 and report["status"] == 1
+        assert "finite" in report["error"]
 
     def test_expansion_block(self, capsys, mixed_qubit_file):
         code, report = run_cli(
@@ -311,3 +328,20 @@ class TestUsageAndEntryPoint:
         assert proc.returncode == 0
         report = json.loads(proc.stdout)
         assert report["results"]["beta_c"] == pytest.approx(math.log(4), rel=1e-10)
+
+    @pytest.mark.parametrize("populations,status", [([0.8, 0.2], 0), ([0.5, 0.4], 1)])
+    def test_closed_stdout_exits_with_report_status(self, tmp_path, populations, status):
+        path = write_json(tmp_path / "q.json", {"energies": [0, 1], "populations": populations})
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before the child writes
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "efftemp", "single", path],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == status
+        assert proc.stderr == b""

@@ -6,6 +6,7 @@ from conftest import random_density, random_unitary
 from efftemp import linalg
 from efftemp.catalysis import JCConfig, jc_hamiltonian
 from efftemp.linalg import ValidationError
+from efftemp.thermal import check_energy_levels
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -114,34 +115,6 @@ class TestTensorAndPartialTrace:
         assert np.abs(linalg.partial_trace(joint, (d1, d2), "second") - sigma).max() <= 1e-12
 
 
-class TestDephase:
-    def test_diagonal_unchanged(self):
-        rho = np.diag([0.5, 0.3, 0.2]).astype(complex)
-        assert_allclose(linalg.dephase(rho, [0.0, 1.0, 2.0]), rho)
-
-    def test_plus_state(self):
-        plus = np.full((2, 2), 0.5, dtype=complex)
-        assert_allclose(linalg.dephase(plus, [0.0, 1.0]), np.eye(2) / 2)
-
-    def test_uniform_superposition_qutrit(self):
-        psi = np.ones(3) / np.sqrt(3)
-        rho = np.outer(psi, psi)
-        assert_allclose(linalg.dephase(rho, [0.0, 1.0, 2.0]), np.eye(3) / 3, atol=1e-15)
-
-    def test_degenerate_block_kept(self, rng):
-        rho = random_density(rng, 3)
-        out = linalg.dephase(rho, [0.0, 0.0, 1.0])
-        assert out[0, 1] == rho[0, 1]  # inside the degenerate block
-        assert out[0, 2] == 0.0 and out[1, 2] == 0.0
-
-    def test_idempotent_and_trace_preserving(self, rng):
-        rho = random_density(rng, 4)
-        e = [0.0, 1.0, 1.0, 2.5]
-        once = linalg.dephase(rho, e)
-        assert_allclose(linalg.dephase(once, e), once)
-        assert_allclose(np.trace(once), np.trace(rho), atol=1e-14)
-
-
 class TestEntropy:
     def test_pure_state(self):
         assert linalg.von_neumann_entropy(np.diag([1.0, 0.0, 0.0])) == 0.0
@@ -218,17 +191,13 @@ class TestValidation:
 
     def test_nan_off_diagonal(self):
         rho = np.array([[0.5, np.nan], [np.nan, 0.5]])
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="finite"):
             linalg.check_density_matrix(rho)
 
-    def test_dimension_cap_override(self, monkeypatch):
-        monkeypatch.setenv("EFFTEMP_MAX_DIM", "3")
-        with pytest.raises(ValidationError, match="cap"):
-            linalg.as_square(np.eye(4))
-        monkeypatch.setenv("EFFTEMP_MAX_DIM", "4")
-        linalg.as_square(np.eye(4))
+    def test_tensor_product_cap(self):
+        with pytest.raises(ValidationError, match="cap 4096"):
+            linalg.tensor_product(np.eye(65), np.eye(65))
 
-    def test_bad_cap_value(self, monkeypatch):
-        monkeypatch.setenv("EFFTEMP_MAX_DIM", "many")
-        with pytest.raises(ValidationError):
-            linalg.max_dim()
+    def test_energy_ladder_cap(self):
+        with pytest.raises(ValidationError, match="cap 4096"):
+            check_energy_levels(np.arange(4097.0))

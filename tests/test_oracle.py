@@ -73,6 +73,68 @@ class TestMaxEnergyGain:
         assert opt.value < -1e-6  # a colder bath absorbs energy
 
 
+def highs_energy_change(populations, energies, beta_bath: float, sense: str) -> float:
+    """Optimum of e^T (G - 1) p over the Gibbs-stochastic polytope, by HiGHS.
+
+    Built from the definition alone, with no efftemp code: G >= 0 with unit
+    column sums and G g = g for g proportional to exp(-beta_bath * e).
+    """
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    e = np.asarray(energies, dtype=float)
+    p = np.asarray(populations, dtype=float)
+    d = e.size
+    g = np.exp(-beta_bath * (e - e.min()))
+    g /= g.sum()
+    columns = np.kron(np.ones((1, d)), np.eye(d))  # sum_i G[i, j] = 1
+    fixes = np.kron(np.eye(d), g[None, :])  # sum_j G[i, j] g_j = g_i
+    a_eq = np.vstack([columns, fixes])
+    b_eq = np.concatenate([np.ones(d), g])
+    cost = np.outer(e, p).ravel()  # x[i*d + j] = G[i, j]
+    sign = -1.0 if sense == "maximize" else 1.0
+    res = linprog(sign * cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    assert res.status == 0, res.message
+    return sign * res.fun - float(e @ p)
+
+
+class TestHighsCrossCheck:
+    @staticmethod
+    def check(populations, energies, beta_bath):
+        for sense in ("maximize", "minimize"):
+            ours = max_energy_gain(GibbsStochasticLP(populations, energies, beta_bath, sense))
+            assert ours.value == pytest.approx(
+                highs_energy_change(populations, energies, beta_bath, sense), abs=1e-9
+            )
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+    def test_random_instances(self, dim):
+        rng = np.random.default_rng(1000 + dim)
+        for _ in range(6):
+            e = random_energies(rng, dim)
+            p = rng.dirichlet(np.ones(dim))
+            self.check(p, e, float(rng.uniform(-2.0, 2.0)))
+
+    @pytest.mark.parametrize("dim", [2, 4, 6])
+    def test_infinite_temperature_bath(self, dim):
+        rng = np.random.default_rng(2000 + dim)
+        self.check(rng.dirichlet(np.ones(dim)), random_energies(rng, dim), 0.0)
+
+    @pytest.mark.parametrize("dim", [2, 4, 6])
+    def test_gibbs_input_at_its_own_temperature(self, dim):
+        rng = np.random.default_rng(3000 + dim)
+        e = random_energies(rng, dim)
+        self.check(gibbs_populations(e, 0.7), e, 0.7)
+
+    @pytest.mark.parametrize(
+        "energies",
+        [[0.0, 0.0, 1.0], [0.0, 0.6, 0.6, 1.3], [0.0, 0.5, 0.5, 0.5, 1.0, 1.0]],
+        ids=["ground-pair", "middle-pair", "two-blocks"],
+    )
+    def test_repeated_levels(self, energies):
+        rng = np.random.default_rng(len(energies))
+        for beta_bath in (-0.8, 0.0, 1.1):
+            self.check(rng.dirichlet(np.ones(len(energies))), energies, beta_bath)
+
+
 class TestHeatSignOracle:
     def test_equilibrium(self, rng):
         e = random_energies(rng, 3)

@@ -17,7 +17,7 @@ from efftemp.temperatures import (
     tensor_power_effective,
     virtual_spectrum,
 )
-from efftemp.thermal import QuantumSystem, gibbs_by_beta, t_star
+from efftemp.thermal import QuantumSystem, gibbs_by_beta, gibbs_by_energy, t_star
 
 ROTATED_QUTRIT_DIAG = np.array([4 + np.sqrt(2), 4 - 2 * np.sqrt(2), 4 + np.sqrt(2)]) / 12
 ROTATED_QUTRIT_BETA = np.log(5 / 2 + 3 / np.sqrt(2))
@@ -234,6 +234,18 @@ class TestAsymptotic:
             for d in deltas
         ]
         assert np.all(np.diff(values) <= 1e-12)
+
+    def test_pairs_carry_their_gibbs_solves(self):
+        e = np.array([0.0, 0.4, 1.0])
+        system = diag_system(e, [0.5, 0.3, 0.2])
+        request = AsymptoticRequest(system=system, delta=0.05)
+        pair = asymptotic_effective(request)
+        assert pair.beta_c == asymptotic_branch(request, "cold")
+        assert pair.beta_h == asymptotic_branch(request, "hot")
+        assert pair.cold.beta == gibbs_by_energy(e, system.mean_energy + 0.05).beta
+        assert pair.hot.beta == gibbs_by_energy(e, system.mean_energy - 0.05).beta
+        matched = expansion_effective(request).matched
+        assert matched.beta == gibbs_by_energy(e, system.mean_energy).beta
 
     def test_delta_validation(self):
         system = diag_system([0.0, 1.0], [0.5, 0.5])

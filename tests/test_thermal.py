@@ -199,13 +199,13 @@ class TestFreeEnergy:
 
 class TestEnergyVariance:
     def test_fair_bernoulli(self):
-        assert thermal.energy_variance(gibbs_by_beta([0.0, 1.0], 0.0)) == pytest.approx(0.25)
+        assert gibbs_by_beta([0.0, 1.0], 0.0).energy_variance == pytest.approx(0.25)
 
     def test_single_level_support(self):
-        assert thermal.energy_variance(gibbs_by_beta([0.0, 1.0], math.inf)) == 0.0
+        assert gibbs_by_beta([0.0, 1.0], math.inf).energy_variance == 0.0
 
     def test_uniform_three_levels(self):
-        got = thermal.energy_variance(gibbs_by_beta([0.0, 1.0, 2.0], 0.0))
+        got = gibbs_by_beta([0.0, 1.0, 2.0], 0.0).energy_variance
         assert got == pytest.approx(2.0 / 3.0, rel=1e-12)
 
 
