@@ -20,12 +20,14 @@ import numpy as np
 
 from . import linalg, temperatures
 from .linalg import SolverError, ValidationError
-from .thermal import check_energy_levels, gibbs_populations
+from .thermal import gibbs_populations
 
 FIXED_POINT_TOL = 1e-10
 EIGENVALUE_ONE_TOL = 1e-8
 NEGATIVITY_TOL = 1e-9
 AVERAGED_MAX_ITER = 200000
+# byte budget of the complex (samples, dim, dim) stacks of one time-series chunk
+SERIES_CHUNK_BYTES = 1 << 19
 
 TIME_SERIES_COLUMNS = (
     "t",
@@ -62,12 +64,22 @@ class JCConfig:
     time_grid: np.ndarray = field(default=None)
 
     def __post_init__(self):
+        if self.fock_levels < 2:
+            raise ValidationError("need at least 2 Fock levels")
+        for name in ("omega_a", "omega_r"):
+            omega = getattr(self, name)
+            if not math.isfinite(omega):
+                raise ValidationError(f"{name} must be finite, got {omega}")
+            # a gap at or below the degeneracy tolerance leaves no distinct levels
+            tol = linalg.energy_equal_tol(omega * np.arange(self.fock_levels))
+            if not omega > tol:
+                raise ValidationError(
+                    f"{name} must exceed the level-degeneracy tolerance {tol:.0e}, got {omega}"
+                )
         if abs(self.omega_a - self.omega_r) > 1e-12:
             raise ValidationError(
                 f"off-resonant drive: omega_a={self.omega_a} != omega_r={self.omega_r}"
             )
-        if self.fock_levels < 2:
-            raise ValidationError("need at least 2 Fock levels")
         if not (self.tau > 0):
             raise ValidationError("tau must be positive")
         grid = self.time_grid
@@ -238,8 +250,11 @@ def solve_catalyst_fixed_point(config: JCConfig, cavity_state) -> CatalysisResul
     )
 
 
-def _offdiag_l1(m: np.ndarray) -> float:
-    return float(np.abs(m - np.diag(np.diag(m))).sum())
+def _offdiag_l1(m: np.ndarray) -> np.ndarray:
+    """Off-diagonal l1 norm of each matrix in an (S, d, d) stack."""
+    off = m.copy()
+    off[:, np.arange(m.shape[1]), np.arange(m.shape[1])] = 0.0
+    return np.abs(off).sum(axis=(1, 2))
 
 
 def run_time_series(config: JCConfig, cavity_state, atom_state) -> CatalysisResult:
@@ -249,7 +264,9 @@ def run_time_series(config: JCConfig, cavity_state, atom_state) -> CatalysisResu
     to its initial state, and the cavity's off-diagonal l1 norm as a
     coherence proxy.  `boundary_occupancy` reports the largest population of
     the top Fock level with the atom excited -- the only state whose
-    dynamics the truncation alters.
+    dynamics the truncation alters.  The grid is evolved in chunks of about
+    SERIES_CHUNK_BYTES, and the temperatures of all samples come from one
+    `extremal_pairs` call per subsystem.
     """
     rho_a = linalg.check_density_matrix(cavity_state, "cavity state")
     atom0 = linalg.check_density_matrix(atom_state, "atom state")
@@ -260,30 +277,33 @@ def run_time_series(config: JCConfig, cavity_state, atom_state) -> CatalysisResu
     w, v = linalg.hermitian_eig(h)
     joint0 = linalg.tensor_product(rho_a, atom0)
     joint0_v = v.conj().T @ joint0 @ v
-
-    e_cav = check_energy_levels(config.cavity_energies)
-    e_atom = check_energy_levels(config.atom_energies)
     boundary_index = (n - 1) * 2 + 1
 
-    rows = np.empty((config.time_grid.size, len(TIME_SERIES_COLUMNS)))
+    grid = config.time_grid
+    rows = np.empty((grid.size, len(TIME_SERIES_COLUMNS)))
+    cavity_pops = np.empty((grid.size, n))
+    atom_pops = np.empty((grid.size, 2))
     boundary = 0.0
-    for k, t in enumerate(config.time_grid):
-        phases = np.exp(-1j * w * t)
-        joint = (v * phases) @ joint0_v @ (v * phases).conj().T
-        sigma_a = linalg.partial_trace(joint, (n, 2), keep="first")
-        sigma_r = linalg.partial_trace(joint, (n, 2), keep="second")
-        pair_a = temperatures.extremal_pair(e_cav, np.diag(sigma_a).real)
-        pair_r = temperatures.extremal_pair(e_atom, np.diag(sigma_r).real)
-        rows[k] = (
-            t,
-            pair_a.beta_c,
-            pair_a.beta_h,
-            pair_r.beta_c,
-            pair_r.beta_h,
-            linalg.trace_distance(sigma_r, atom0),
-            _offdiag_l1(sigma_a),
-        )
-        boundary = max(boundary, float(joint[boundary_index, boundary_index].real))
+    # samples per chunk: three complex (samples, 2n, 2n) stacks fit the budget
+    chunk = max(1, SERIES_CHUNK_BYTES // (3 * 16 * (2 * n) ** 2))
+    for k in range(0, grid.size, chunk):
+        t = grid[k:k + chunk]
+        vp = v * np.exp(-1j * w * t[:, None])[:, None, :]
+        joint = vp @ joint0_v @ vp.conj().transpose(0, 2, 1)
+        blocks = joint.reshape(-1, n, 2, n, 2)
+        sigma_a = np.einsum("sikjk->sij", blocks)
+        sigma_r = np.einsum("skikj->sij", blocks)
+        # linalg.trace_distance(sigma_r, atom0) per sample, in the same arithmetic
+        diff = sigma_r - atom0
+        diff = (diff + diff.conj().transpose(0, 2, 1)) / 2
+        rows[k:k + chunk, 5] = np.abs(np.linalg.eigvalsh(diff)).sum(axis=1) / 2
+        rows[k:k + chunk, 6] = _offdiag_l1(sigma_a)
+        cavity_pops[k:k + chunk] = np.diagonal(sigma_a, axis1=1, axis2=2).real
+        atom_pops[k:k + chunk] = np.diagonal(sigma_r, axis1=1, axis2=2).real
+        boundary = max(boundary, float(joint[:, boundary_index, boundary_index].real.max()))
+    rows[:, 0] = grid
+    rows[:, 1:3] = temperatures.extremal_pairs(config.cavity_energies, cavity_pops)
+    rows[:, 3:5] = temperatures.extremal_pairs(config.atom_energies, atom_pops)
 
     apply_tau = _jc_channel(config, rho_a, config.tau)
     residual = linalg.trace_distance(apply_tau(atom0), atom0)

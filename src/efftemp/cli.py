@@ -179,7 +179,7 @@ def cmd_asymptotic(args) -> tuple[dict, list, str]:
     results = {
         "delta": args.delta,
         "mean_energy": system.mean_energy,
-        "state_entropy": system.entropy(),
+        "state_entropy": system.entropy,
         "beta_c": pair.beta_c,
         "beta_h": pair.beta_h,
         "gibbs_cold": {"beta": cold.beta, "mean_energy": cold.mean_energy, "entropy": cold.entropy},
@@ -205,8 +205,7 @@ def cmd_oracle(args) -> tuple[dict, list, str]:
         raise ValidationError("--random requires an explicit --seed")
     verdict = oracle.heat_sign_oracle(system, args.beta_bath)
     pair = temperatures.single_copy_effective(system)
-    predicted_cool = temperatures.hotter_than(args.beta_bath, pair.beta_c)
-    predicted_heat = temperatures.hotter_than(pair.beta_h, args.beta_bath)
+    predicted_cool, predicted_heat = oracle.predicted_verdicts(pair, args.beta_bath)
     results = {
         "beta_bath": args.beta_bath,
         "max_energy_gain": verdict.gain.value,

@@ -51,8 +51,8 @@ def check_hermitian(a, tol: float = HERMITIAN_TOL, name: str = "operator") -> np
     return arr
 
 
-def check_density_matrix(rho, name: str = "state") -> np.ndarray:
-    """Validate finite entries, Hermiticity, unit trace and nonnegative spectrum."""
+def _checked_state(rho, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """check_density_matrix that also returns the spectrum it computed."""
     arr = check_hermitian(rho, STATE_HERMITIAN_TOL, name)
     tr = complex(np.trace(arr))
     if not abs(tr - 1.0) <= TRACE_TOL:
@@ -60,7 +60,12 @@ def check_density_matrix(rho, name: str = "state") -> np.ndarray:
     w = np.linalg.eigvalsh(arr)
     if not w.min() >= EIG_FLOOR:
         raise ValidationError(f"{name} has negative eigenvalue {w.min():.3e}")
-    return arr
+    return arr, w
+
+
+def check_density_matrix(rho, name: str = "state") -> np.ndarray:
+    """Validate finite entries, Hermiticity, unit trace and nonnegative spectrum."""
+    return _checked_state(rho, name)[0]
 
 
 def hermitian_eig(op, tol: float = HERMITIAN_TOL) -> tuple[np.ndarray, np.ndarray]:
@@ -123,9 +128,8 @@ def entropy_of_probabilities(p: np.ndarray) -> float:
 
 
 def von_neumann_entropy(rho) -> float:
-    """S(rho) = -Tr rho log rho in nats."""
-    arr = check_density_matrix(rho)
-    w = np.linalg.eigvalsh(arr)
+    """S(rho) = -Tr rho log rho in nats, from the spectrum its validation computes."""
+    w = _checked_state(rho, "state")[1]
     w = np.where((w < 0.0) & (w >= EIG_FLOOR), 0.0, w)
     return entropy_of_probabilities(w)
 

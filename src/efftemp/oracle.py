@@ -163,6 +163,23 @@ def heat_sign_oracle(system: QuantumSystem, beta_bath: float) -> HeatVerdict:
     )
 
 
+def predicted_verdicts(
+    pair: temperatures.EffectiveTempPair, beta_bath: float
+) -> tuple[bool, bool]:
+    """Closed-form (can_cool, can_heat) at a bath of inverse temperature beta_bath.
+
+    Cooling needs a bath strictly hotter than beta_c, heating one strictly
+    colder than beta_h.  A bath within SIGN_MARGIN * max(1, |beta_bath|) of
+    beta_c or beta_h is a tie and predicts no flow, as the LP verdicts'
+    SIGN_MARGIN does for an optimum that vanishes up to rounding.
+    """
+    tie = SIGN_MARGIN * max(1.0, abs(beta_bath))
+    return (
+        temperatures.hotter_than(beta_bath + tie, pair.beta_c),
+        temperatures.hotter_than(pair.beta_h, beta_bath - tie),
+    )
+
+
 def build_cooling_protocol(system: QuantumSystem, beta_bath: float) -> CoolingProtocol:
     """Swap protocol on the coldest pair against a resonant qubit thermometer.
 
@@ -256,8 +273,8 @@ def equivalence_trials(
     """Compare LP heat-sign verdicts with the virtual-temperature prediction.
 
     For each random diagonal system and bath temperature the oracle verdict
-    must match: cooling possible iff the bath is strictly hotter than beta_c,
-    heating possible iff strictly colder than beta_h.
+    must match `predicted_verdicts`: cooling possible iff the bath is strictly
+    hotter than beta_c, heating possible iff strictly colder than beta_h.
     """
     rng = np.random.default_rng(seed)
     disagreements = 0
@@ -276,10 +293,8 @@ def equivalence_trials(
                     float(np.abs(opt.matrix.sum(axis=0) - 1.0).max()),
                     float(np.abs(opt.matrix @ g - g).max()),
                 )
-            predicted_cool = temperatures.hotter_than(beta_bath, pair.beta_c)
-            predicted_heat = temperatures.hotter_than(pair.beta_h, beta_bath)
             cases += 1
-            if verdict.can_cool != predicted_cool or verdict.can_heat != predicted_heat:
+            if (verdict.can_cool, verdict.can_heat) != predicted_verdicts(pair, beta_bath):
                 disagreements += 1
     return EquivalenceReport(
         cases=cases, disagreements=disagreements, max_polytope_residual=residual

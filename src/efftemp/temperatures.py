@@ -20,6 +20,7 @@ cold value drops below the hot one (the usable temperature window shrinks).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
@@ -128,17 +129,104 @@ def virtual_spectrum(system: QuantumSystem) -> VirtualTempSpectrum:
     return VirtualTempSpectrum(entries=tuple(entries))
 
 
-def extremal_pair(energies: np.ndarray, populations: np.ndarray) -> EffectiveTempPair:
-    """Extremal inverse virtual temperatures (beta_c = max, beta_h = min).
+# byte budget of one chunk of rows in extremal_pairs, which holds at most
+# three float64 (rows, pairs) work arrays at once
+PAIR_CHUNK_BYTES = 1 << 19
+# Width of the log screen in extremal_pairs, in units of the spacing (ulp) of
+# the screened extreme.  An entry's exact value is b1 = fl(L1 / gap) with
+# L1 = math.log(r); the screen computes b2 = fl(L2 / gap) with L2 = np.log(r),
+# from the same ratio r and the same gap.  glibc's log is within 1 ulp of
+# log(r), and numpy's float64 log within 1 ulp by its accuracy tests (numpy
+# 2.4 on x86-64 differs from math.log by one ulp on 0.01-0.2% of random
+# inputs, never by more); allow 4.  An ulp is at most 2**-52 of the value, so
+# |L1 - L2| <= 5 * 2**-52 |L|, and the two divisions add at most 2**-53 each:
+# |b1 - b2| <= c |b| with c = 6 * 2**-52, and b1, b2 share their sign.  The
+# entry that attains the exact maximum M1 then screens at >= M1 - c|M1|, and
+# the screened maximum M2 <= M1 + c|M1|, so that entry lies within
+# 2c|M2| (1 + O(c)) = 12 * 2**-52 |M2| of M2 (likewise for the minimum).  The
+# spacing of M2 is at least 2**-53 |M2|, so 64 spacings cover at least
+# 32 * 2**-52 |M2|, over twice the bound; they also cover the two
+# half-spacing roundings of a subnormal quotient, where the relative bound
+# fails.  Infinite entries come from empty levels, never from a log.
+SCREEN_ULPS = 64
 
-    Unchecked: `energies` must be ascending, `populations` a valid state's diagonal.
+
+@functools.lru_cache(maxsize=64)
+def _upper_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(i, j) index arrays of the pairs i < j in row-major order, read-only."""
+    low, high = np.triu_indices(d, 1)
+    low.flags.writeable = high.flags.writeable = False
+    return low, high
+
+
+def _exact_extreme(beta, chunk, low, high, gap, screened, reduce) -> np.ndarray:
+    """Recompute with math.log every finite entry near a row's screened extreme.
+
+    `reduce` is np.maximum or np.minimum; rows whose screened extreme is
+    infinite or NaN keep it unchanged (their width is NaN, so nothing is near).
     """
-    betas = np.array([b for _, _, b in _spectrum_entries(energies, populations)])
-    if betas.size == 0:
+    out = screened.copy()
+    width = SCREEN_ULPS * np.spacing(np.abs(screened))
+    dist = beta - screened[:, None]
+    near = np.abs(dist, out=dist) <= width[:, None]
+    rows, cols = np.nonzero(near)
+    ratio = chunk[rows, low[cols]] / chunk[rows, high[cols]]
+    exact = np.array(list(map(math.log, ratio.tolist()))) / gap[cols]
+    out[rows] = exact
+    reduce.at(out, rows, exact)
+    return out
+
+
+def extremal_pairs(energies: np.ndarray, populations: np.ndarray) -> np.ndarray:
+    """(beta_c, beta_h) of every row of an (S, d) stack of populations.
+
+    Returns an (S, 2) array equal bit for bit to the max and min of the
+    `virtual_spectrum` entries of each row.  All pairs are screened at once
+    with np.log; the entries within SCREEN_ULPS of each row's extremes are
+    recomputed with math.log, the function the spectrum uses.  Rows are
+    processed in chunks of about PAIR_CHUNK_BYTES.
+
+    Unchecked: `energies` must be ascending, each row a valid state's diagonal.
+    """
+    e = np.asarray(energies, dtype=float)
+    p = _clean_populations(np.asarray(populations, dtype=float))
+    low, high = _upper_pairs(e.size)
+    gap = e[high] - e[low]
+    distinct = gap > linalg.energy_equal_tol(e)
+    low, high, gap = low[distinct], high[distinct], gap[distinct]
+    if gap.size == 0:
         raise ValidationError(
             "effective temperatures are undefined: all energy levels are degenerate"
         )
-    return EffectiveTempPair(beta_c=float(betas.max()), beta_h=float(betas.min()))
+    out = np.empty((p.shape[0], 2))
+    per_chunk = max(1, PAIR_CHUNK_BYTES // (3 * 8 * gap.size))
+    for start in range(0, p.shape[0], per_chunk):
+        stop = start + per_chunk
+        chunk = p[start:stop]
+        # an empty upper (lower) level gives +inf (-inf); two empty levels give
+        # NaN, which fmax/fmin skip as the spectrum omits the pair
+        with np.errstate(divide="ignore", invalid="ignore"):
+            beta = chunk[:, low]
+            beta /= chunk[:, high]
+            np.log(beta, out=beta)
+            beta /= gap
+            for col, screen, reduce in ((0, np.fmax, np.maximum), (1, np.fmin, np.minimum)):
+                out[start:stop, col] = _exact_extreme(
+                    beta, chunk, low, high, gap, screen.reduce(beta, axis=1), reduce)
+    if np.isnan(out).any():
+        raise ValidationError(
+            "effective temperatures are undefined: all energy levels are degenerate"
+        )
+    return out
+
+
+def extremal_pair(energies: np.ndarray, populations: np.ndarray) -> EffectiveTempPair:
+    """Extremal inverse virtual temperatures (beta_c = max, beta_h = min).
+
+    The one-row case of `extremal_pairs`; unchecked in the same way.
+    """
+    beta_c, beta_h = extremal_pairs(energies, np.asarray(populations)[None, :])[0]
+    return EffectiveTempPair(beta_c=float(beta_c), beta_h=float(beta_h))
 
 
 def single_copy_effective(system: QuantumSystem) -> EffectiveTempPair:
@@ -268,12 +356,12 @@ def asymptotic_branch(request: AsymptoticRequest, branch: str) -> float:
     shifted mean energy must stay strictly inside the spectrum; otherwise a
     BracketError propagates from the Gibbs inversion.
     """
-    return _branch_solve(request, branch, request.system.entropy())[0]
+    return _branch_solve(request, branch, request.system.entropy)[0]
 
 
 def asymptotic_effective(request: AsymptoticRequest) -> AsymptoticPair:
     """Both asymptotic branches; requires E +/- delta inside the spectrum."""
-    s_rho = request.system.entropy()
+    s_rho = request.system.entropy
     beta_c, cold = _branch_solve(request, "cold", s_rho)
     beta_h, hot = _branch_solve(request, "hot", s_rho)
     return AsymptoticPair(beta_c=beta_c, beta_h=beta_h, cold=cold, hot=hot)
@@ -296,7 +384,7 @@ def expansion_effective(request: AsymptoticRequest) -> ExpansionPair:
         raise SolverError("energy variance of the matched Gibbs state vanishes")
     # the Gibbs state is the entropy maximizer at fixed mean energy; clamp
     # float noise so the leading term keeps its sign
-    ds = max(0.0, solve.entropy - system.entropy())
+    ds = max(0.0, solve.entropy - system.entropy)
     curvature = delta / (2.0 * var)
     return ExpansionPair(
         beta_c=ds / delta + solve.beta - curvature,

@@ -8,6 +8,7 @@ keeps the hotness order total; the Kelvin-style T = 1/beta is left to the CLI.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -94,7 +95,9 @@ class QuantumSystem:
             return h
         return self.eigenbasis @ h @ self.eigenbasis.conj().T
 
+    @functools.cached_property
     def entropy(self) -> float:
+        """Von Neumann entropy S(rho) in nats, computed on first use."""
         return linalg.von_neumann_entropy(self.rho)
 
 
@@ -241,7 +244,7 @@ def t_star(system: QuantumSystem) -> float:
 
 def beta_free_energy(system: QuantumSystem, beta: float) -> float:
     """beta * F = beta * Tr[H rho] - S(rho); finite for every real beta."""
-    return float(beta) * system.mean_energy - system.entropy()
+    return float(beta) * system.mean_energy - system.entropy
 
 
 def free_energy(system: QuantumSystem, beta: float) -> float:

@@ -26,7 +26,7 @@ from efftemp.catalysis import (
     uniform_superposition_state,
 )
 from efftemp.linalg import ValidationError
-from efftemp.temperatures import single_copy_effective, tensor_power_effective
+from efftemp.temperatures import single_copy_effective, tensor_power_effective, virtual_spectrum
 from efftemp.thermal import QuantumSystem
 
 DEFAULT_CONFIG = JCConfig(omega_a=1.0, omega_r=1.0, g=0.1, fock_levels=3, tau=28.5)
@@ -95,24 +95,40 @@ class TestTimeSeries:
         for col in (1, 2, 3, 4):
             assert np.ptp(series[:, col]) <= 1e-10
 
-    @pytest.mark.parametrize("fock", [3, 8])
+    @pytest.mark.parametrize("fock", [3, 8, 32])
     def test_rows_match_validated_states(self, fock):
-        # the series reads each marginal's populations without building a
-        # validated QuantumSystem; that path must give the same bits
-        config = JCConfig(fock_levels=fock, time_grid=default_time_grid(steps=40))
+        # the chunked series must give the bits of a per-sample evolution
+        # that reads each marginal through a validated QuantumSystem; at
+        # fock 8 the grid spans several chunks and ends in a partial one
+        steps = {3: 40, 8: 200, 32: 45}[fock]
+        config = JCConfig(fock_levels=fock, time_grid=default_time_grid(steps=steps))
         cavity = uniform_superposition_state(fock)
         atom = solve_catalyst_fixed_point(config, cavity).catalyst_state
-        rows = run_time_series(config, cavity, atom).time_series
+        result = run_time_series(config, cavity, atom)
+        assert result.time_series.shape == (steps + 1, 7)
         w, v = linalg.hermitian_eig(jc_hamiltonian(config))
         joint0_v = v.conj().T @ linalg.tensor_product(cavity, atom) @ v
-        for row, t in zip(rows, config.time_grid):
+        boundary = 0.0
+        for row, t in zip(result.time_series, config.time_grid):
             phases = np.exp(-1j * w * t)
             joint = (v * phases) @ joint0_v @ (v * phases).conj().T
             sigma_a = linalg.partial_trace(joint, (fock, 2), keep="first")
             sigma_r = linalg.partial_trace(joint, (fock, 2), keep="second")
-            pair_a = single_copy_effective(QuantumSystem(config.cavity_energies, sigma_a))
-            pair_r = single_copy_effective(QuantumSystem(config.atom_energies, sigma_r))
-            assert tuple(row[1:5]) == (pair_a.beta_c, pair_a.beta_h, pair_r.beta_c, pair_r.beta_h)
+            # the per-entry math.log spectrum, not the batched core
+            betas_a = virtual_spectrum(QuantumSystem(config.cavity_energies, sigma_a)).betas()
+            betas_r = virtual_spectrum(QuantumSystem(config.atom_energies, sigma_r)).betas()
+            expected = (
+                t,
+                betas_a.max(),
+                betas_a.min(),
+                betas_r.max(),
+                betas_r.min(),
+                linalg.trace_distance(sigma_r, atom),
+                float(np.abs(sigma_a - np.diag(np.diag(sigma_a))).sum()),
+            )
+            assert tuple(row) == expected
+            boundary = max(boundary, float(joint[2 * fock - 1, 2 * fock - 1].real))
+        assert result.boundary_occupancy == boundary
 
     def test_uniform_cavity_starts_at_beta_zero(self):
         result = solve_catalyst_fixed_point(DEFAULT_CONFIG, uniform_superposition_state(3))

@@ -4,12 +4,14 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
+from conftest import random_density
 from efftemp.cli import main
-from efftemp.thermal import gibbs_by_beta
+from efftemp.thermal import gibbs_by_beta, gibbs_populations
 
 ROTATED_QUTRIT_DIAG = ((4 + math.sqrt(2)) / 12, (4 - 2 * math.sqrt(2)) / 12, (4 + math.sqrt(2)) / 12)
 ROTATED_QUTRIT_BETA = math.log(5 / 2 + 3 / math.sqrt(2))
@@ -172,6 +174,27 @@ class TestAsymptotic:
         assert code == 1 and report["status"] == 1
         assert "finite" in report["error"]
 
+    def test_expansion_diagonalizes_the_state_twice(self, capsys, tmp_path, monkeypatch):
+        # once to validate the loaded state, once for S(rho); the entropy is
+        # computed once and shared by the report, both branches and the expansion
+        rho = random_density(np.random.default_rng(64), 64)
+        path = write_json(
+            tmp_path / "rho64.json",
+            {"energies": list(range(64)), "rho_re": rho.real.tolist(),
+             "rho_im": rho.imag.tolist()},
+        )
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        code, report = run_cli(capsys, "asymptotic", path, "--delta", "0.5", "--expansion")
+        assert code == 0
+        assert calls == [(64, 64), (64, 64)]
+
     def test_expansion_block(self, capsys, mixed_qubit_file):
         code, report = run_cli(
             capsys, "asymptotic", mixed_qubit_file, "--delta", "0.05", "--expansion"
@@ -189,13 +212,25 @@ class TestOracle:
         r = report["results"]
         assert abs(r["max_energy_gain"]) <= 1e-9
         assert r["can_cool"] is False and r["can_heat"] is False
-        # note: the formula prediction uses strict inequalities, so the
-        # exactly-at-beta_c tie is float-fragile; agreement is asserted at a
-        # clearly separated bath below
+        assert r["agreement"] is True
         code, report = run_cli(capsys, "oracle", gibbs_file, "--beta-bath", "0.5")
         assert code == 0
         r = report["results"]
         assert r["can_cool"] is True and r["can_heat"] is False
+        assert r["agreement"] is True
+
+    def test_tie_at_the_bath_temperature_agrees(self, capsys, tmp_path):
+        # beta_c and beta_h differ from the bath's 0.8 only by rounding
+        energies = [0.0, 0.7, 1.3, 2.1]
+        path = write_json(
+            tmp_path / "tie.json",
+            {"energies": energies, "populations": gibbs_populations(energies, 0.8).tolist()},
+        )
+        code, report = run_cli(capsys, "oracle", path, "--beta-bath", "0.8")
+        assert code == 0
+        r = report["results"]
+        assert r["can_cool"] is False and r["can_heat"] is False
+        assert r["predicted_cool"] is False and r["predicted_heat"] is False
         assert r["agreement"] is True
 
     def test_random_trials_agree(self, capsys, gibbs_file):
@@ -258,6 +293,17 @@ class TestJC:
     def test_bad_fock_exits_1(self, capsys):
         code, report = run_cli(capsys, "jc", "--fock", "1")
         assert code == 1
+
+    @pytest.mark.parametrize("omega", ["inf", "nan", "0", "-1", "1e-300"])
+    def test_bad_omega_exits_1_quietly(self, capsys, omega):
+        # rejected by the config, before any numpy warning or solve
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["jc", f"--omega={omega}", "--steps", "10"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == ""
+        assert "omega" in json.loads(captured.out)["error"]
 
 
 class TestQutritCatalyst:

@@ -165,6 +165,21 @@ class TestHeatSignOracle:
         assert verdict.can_cool == (verdict.gain.value > oracle.SIGN_MARGIN)
         assert verdict.can_heat == (verdict.loss.value < -oracle.SIGN_MARGIN)
 
+    @pytest.mark.parametrize("beta", [-2.0, 0.0, 0.8, 3.0])
+    def test_prediction_agrees_at_a_gibbs_tie(self, beta):
+        e = np.array([0.0, 0.7, 1.3, 2.1])
+        system = diag_system(e, gibbs_populations(e, beta))
+        verdict = heat_sign_oracle(system, beta)
+        predicted = oracle.predicted_verdicts(single_copy_effective(system), beta)
+        assert predicted == (verdict.can_cool, verdict.can_heat) == (False, False)
+
+    def test_prediction_outside_the_tie(self):
+        pair = single_copy_effective(diag_system([0.0, 1.0], [0.8, 0.2]))  # beta = log 4
+        assert oracle.predicted_verdicts(pair, math.log(4) - 1e-6) == (True, False)
+        assert oracle.predicted_verdicts(pair, math.log(4) + 1e-6) == (False, True)
+        empty = single_copy_effective(diag_system([0.0, 1.0, 2.0], [0.0, 1.0, 0.0]))
+        assert oracle.predicted_verdicts(empty, 1e300) == (True, True)
+
     def test_dimension_cap(self):
         system = diag_system(np.arange(7.0), np.ones(7) / 7)
         with pytest.raises(ValidationError, match="cap"):

@@ -6,12 +6,14 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import diag_system, inject_coherences, random_energies
+from efftemp import temperatures
 from efftemp.linalg import BracketError, SolverError, ValidationError
 from efftemp.temperatures import (
     AsymptoticRequest,
     asymptotic_branch,
     asymptotic_effective,
     expansion_effective,
+    extremal_pairs,
     hotter_than,
     single_copy_effective,
     tensor_power_effective,
@@ -118,6 +120,86 @@ class TestSingleCopy:
             system = diag_system(random_energies(rng, dim), rng.dirichlet(np.ones(dim)))
             pair = single_copy_effective(system)
             assert pair.beta_h <= pair.beta_c
+
+
+def spectrum_extremes(energies, populations):
+    """Max and min of the entries of the scalar, per-pair math.log spectrum."""
+    betas = [b for _, _, b in temperatures._spectrum_entries(energies, populations)]
+    return max(betas), min(betas)
+
+
+def population_row(rng, energies, kind):
+    d = len(energies)
+    if kind == "gibbs":
+        w = np.exp(-rng.uniform(-3.0, 3.0) * ((energies - energies[0]) / energies[-1]))
+        return w / w.sum()
+    if kind == "near_uniform":  # every beta_ij close to 0
+        p = (1.0 + 1e-12 * rng.normal(size=d)) / d
+        return p / p.sum()
+    p = rng.dirichlet(np.full(d, rng.uniform(0.2, 3.0)))
+    if kind == "empty":
+        p[rng.integers(0, d, max(1, d // 3))] = 0.0
+        p = p / p.sum()
+    return p
+
+
+class TestExtremalPairs:
+    KINDS = ("generic", "gibbs", "near_uniform", "empty")
+
+    @pytest.mark.parametrize("ladder", ["distinct", "repeated", "wide"])
+    @pytest.mark.parametrize("dim", [2, 3, 5, 8, 16, 32, 64])
+    def test_matches_scalar_spectrum_bit_for_bit(self, rng, monkeypatch, dim, ladder):
+        # a 4 kB budget holds at most 102 rows (one row from d = 16 on), so the
+        # stack takes several chunks and ends in a partial one
+        monkeypatch.setattr(temperatures, "PAIR_CHUNK_BYTES", 4096)
+        size = 250 if dim < 16 else 41
+        energies = random_energies(rng, dim)
+        if ladder == "repeated":  # [0, 1], [0, 0, 1], [0, 0, 1, 1, 2], ...
+            energies = np.floor(np.linspace(0.0, dim / 2, dim))
+        elif ladder == "wide":  # gaps near 1e308: quotients reach subnormals
+            energies = energies / energies[-1] * 1.5e308
+        stack = np.array([population_row(rng, energies, self.KINDS[k % 4]) for k in range(size)])
+        got = extremal_pairs(energies, stack)
+        assert got.shape == (size, 2)
+        for row, pair in zip(stack, got):
+            assert tuple(pair) == spectrum_extremes(energies, row)
+
+    # Gibbs rows on three levels, where each row's three entries lie within
+    # two ulps of one another and numpy's log misrounds one entry by one ulp
+    # (numpy 2.4 on x86-64): a screen that recomputes only the entries equal
+    # to the screened extreme returns the wrong entry's bits
+    NEAR_TIES = (
+        (("0x1.7d44cde29f3f2p-1", "0x1.2315ef1a0f70dp+0", "0x1.9054d1536493ap+0"),
+         ("0x1.25e5e9f6b4a86p-2", "0x1.5197160401bb8p-2", "0x1.88830005499c1p-2")),
+        (("0x1.ead897185b118p-2", "0x1.8b496c6241ed3p+0", "0x1.c702c657259fap+0"),
+         ("0x1.de622a52bfe3ap-1", "0x1.641092700b28ap-5", "0x1.6b9990c7ed3bfp-6")),
+        (("0x1.169d53c0882b4p+0", "0x1.4eb2f496159b6p+0", "0x1.9acc0cac74c55p+0"),
+         ("0x1.d93fdbdee853ap-2", "0x1.51771751dd276p-2", "0x1.aa92199e750a2p-3")),
+    )
+
+    @pytest.mark.parametrize("energies,populations", NEAR_TIES)
+    def test_screen_keeps_near_ties(self, energies, populations):
+        e = np.array([float.fromhex(x) for x in energies])
+        p = np.array([float.fromhex(x) for x in populations])
+        assert tuple(extremal_pairs(e, p[None, :])[0]) == spectrum_extremes(e, p)
+
+    def test_default_budget_spans_chunks(self, rng):
+        # a chunk holds fewer rows than its budget holds float64 values
+        energies = np.array([0.0, 1.0, 2.5])
+        stack = rng.dirichlet(np.ones(3), size=temperatures.PAIR_CHUNK_BYTES // 8 + 5)
+        got = extremal_pairs(energies, stack)
+        for k in range(0, len(stack), 97):
+            assert tuple(got[k]) == spectrum_extremes(energies, stack[k])
+        assert tuple(got[-1]) == spectrum_extremes(energies, stack[-1])
+
+    def test_one_row_case(self):
+        p = np.array(ROTATED_QUTRIT_DIAG)
+        pair = temperatures.extremal_pair(np.array([0.0, 1.0, 2.0]), p)
+        assert (pair.beta_c, pair.beta_h) == spectrum_extremes(np.array([0.0, 1.0, 2.0]), p)
+
+    def test_degenerate_ladder_rejected(self):
+        with pytest.raises(ValidationError, match="degenerate"):
+            extremal_pairs(np.ones(3), np.full((4, 3), 1 / 3))
 
 
 class TestTensorPower:
@@ -303,7 +385,7 @@ class TestExpansion:
         coherent = QuantumSystem(energies=e, rho=rho_coh)
         pair_plain = expansion_effective(AsymptoticRequest(system=plain, delta=delta))
         pair_coh = expansion_effective(AsymptoticRequest(system=coherent, delta=delta))
-        shift = (plain.entropy() - coherent.entropy()) / delta
+        shift = (plain.entropy - coherent.entropy) / delta
         assert pair_coh.beta_c - pair_plain.beta_c == pytest.approx(shift, abs=1e-12)
         assert pair_coh.beta_h - pair_plain.beta_h == pytest.approx(-shift, abs=1e-12)
 
