@@ -49,6 +49,7 @@ from .catalysis import (
     CatalysisResult,
     JCConfig,
     QutritCatalystSetup,
+    TimeSeriesResult,
     jc_hamiltonian,
     qutrit_catalyst_protocol,
     run_time_series,

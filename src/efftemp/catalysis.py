@@ -101,17 +101,23 @@ class JCConfig:
 
 @dataclass(frozen=True)
 class CatalysisResult:
-    """Catalyst state, its return residual, and the recorded time series.
+    """Catalyst state and its return residual after one period tau."""
+
+    catalyst_state: np.ndarray
+    fixed_point_residual: float
+
+
+@dataclass(frozen=True)
+class TimeSeriesResult:
+    """The recorded time series and the truncation diagnostic.
 
     `time_series` rows follow TIME_SERIES_COLUMNS; beta values are emitted
     as inverse temperatures so population crossings stay finite (they pass
     through beta = 0 rather than a temperature pole).
     """
 
-    catalyst_state: np.ndarray
-    fixed_point_residual: float
     time_series: np.ndarray
-    boundary_occupancy: float = 0.0
+    boundary_occupancy: float
 
 
 def destroy(n: int) -> np.ndarray:
@@ -243,11 +249,7 @@ def solve_catalyst_fixed_point(config: JCConfig, cavity_state) -> CatalysisResul
     apply = _jc_channel(config, rho_a, config.tau)
     x = channel_fixed_point(apply, 2)
     residual = linalg.trace_distance(apply(x), x)
-    return CatalysisResult(
-        catalyst_state=x,
-        fixed_point_residual=residual,
-        time_series=np.empty((0, len(TIME_SERIES_COLUMNS))),
-    )
+    return CatalysisResult(catalyst_state=x, fixed_point_residual=residual)
 
 
 def _offdiag_l1(m: np.ndarray) -> np.ndarray:
@@ -257,7 +259,7 @@ def _offdiag_l1(m: np.ndarray) -> np.ndarray:
     return np.abs(off).sum(axis=(1, 2))
 
 
-def run_time_series(config: JCConfig, cavity_state, atom_state) -> CatalysisResult:
+def run_time_series(config: JCConfig, cavity_state, atom_state) -> TimeSeriesResult:
     """Evolve rho_A (x) X over the grid and record both subsystems' temperatures.
 
     Each row holds the cavity and atom beta pairs, the atom's trace distance
@@ -304,15 +306,7 @@ def run_time_series(config: JCConfig, cavity_state, atom_state) -> CatalysisResu
     rows[:, 0] = grid
     rows[:, 1:3] = temperatures.extremal_pairs(config.cavity_energies, cavity_pops)
     rows[:, 3:5] = temperatures.extremal_pairs(config.atom_energies, atom_pops)
-
-    apply_tau = _jc_channel(config, rho_a, config.tau)
-    residual = linalg.trace_distance(apply_tau(atom0), atom0)
-    return CatalysisResult(
-        catalyst_state=atom0,
-        fixed_point_residual=residual,
-        time_series=rows,
-        boundary_occupancy=boundary,
-    )
+    return TimeSeriesResult(time_series=rows, boundary_occupancy=boundary)
 
 
 def uniform_superposition_state(dim: int) -> np.ndarray:

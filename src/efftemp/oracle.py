@@ -13,13 +13,13 @@ explicit two-level swap protocol that saturates the cooling bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import linalg, simplex, temperatures
 from .linalg import ValidationError
-from .thermal import QuantumSystem, check_energy_levels, gibbs_populations
+from .thermal import QuantumSystem, _gibbs_populations, check_energy_levels
 
 ORACLE_DIM_CAP = 6
 SIGN_MARGIN = 1e-9       # numerical margin realizing strict heat-sign inequalities
@@ -28,26 +28,46 @@ POLYTOPE_TOL = 1e-9
 
 @dataclass(frozen=True)
 class GibbsStochasticLP:
-    """Energy-change optimization over {G >= 0, 1^T G = 1^T, G g = g}."""
+    """Energy-change optimization over {G >= 0, 1^T G = 1^T, G g = g}.
+
+    Validated once on construction, which also builds the Gibbs weights g
+    and the LP data in the layout G[i, j] -> x[i*d + j]: rows j < d are the
+    column sums, rows d + i the fixed-vector condition (one row is
+    redundant, which the solver tolerates), and cost[i*d + j] = e_i p_j.
+    """
 
     populations: np.ndarray
     energies: np.ndarray
     beta_bath: float
-    sense: str = "maximize"
+    gibbs: np.ndarray = field(init=False, repr=False)
+    a_eq: np.ndarray = field(init=False, repr=False)
+    b_eq: np.ndarray = field(init=False, repr=False)
+    cost: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         p = np.asarray(self.populations, dtype=float)
         e = check_energy_levels(self.energies)
-        if p.ndim != 1 or p.size != e.size:
+        d = e.size
+        if d > ORACLE_DIM_CAP:
+            raise ValidationError(f"oracle dimension cap is {ORACLE_DIM_CAP}, got {d}")
+        if p.ndim != 1 or p.size != d:
             raise ValidationError("populations must match the energy ladder")
         if not (p.min() >= -1e-12 and abs(p.sum() - 1.0) <= 1e-10):  # NaN fails
             raise ValidationError("populations must be a probability vector (1e-10)")
         if not math.isfinite(self.beta_bath):
             raise ValidationError("bath inverse temperature must be finite")
-        if self.sense not in ("maximize", "minimize"):
-            raise ValidationError(f"sense must be maximize|minimize, got {self.sense!r}")
-        object.__setattr__(self, "populations", np.maximum(p, 0.0))
+        p = np.maximum(p, 0.0)
+        g = _gibbs_populations(e, self.beta_bath)
+        a_eq = np.zeros((2 * d, d, d))  # a_eq[row, i, j] multiplies G[i, j]
+        k = np.arange(d)
+        a_eq[k, :, k] = 1.0
+        a_eq[d + k, k] = g
+        object.__setattr__(self, "populations", p)
         object.__setattr__(self, "energies", e)
+        object.__setattr__(self, "gibbs", g)
+        object.__setattr__(self, "a_eq", a_eq.reshape(2 * d, d * d))
+        object.__setattr__(self, "b_eq", np.concatenate([np.ones(d), g]))
+        object.__setattr__(self, "cost", np.outer(e, p).ravel())
 
     @property
     def dim(self) -> int:
@@ -56,11 +76,15 @@ class GibbsStochasticLP:
 
 @dataclass(frozen=True)
 class HeatOptimum:
-    """LP optimum of lambda^T (G - 1) p with its certifying matrix."""
+    """LP optimum of lambda^T (G - 1) p with its certifying matrix.
+
+    `residual` is the matrix's largest deviation from the polytope's
+    equalities, max(|1^T G - 1^T|, |G g - g|), checked to be <= 1e-9.
+    """
 
     value: float
     matrix: np.ndarray
-    status: str
+    residual: float
 
 
 @dataclass(frozen=True)
@@ -96,37 +120,15 @@ class CoolingProtocol:
     beta_max: float
 
 
-def max_energy_gain(lp: GibbsStochasticLP) -> HeatOptimum:
-    """Optimize the system energy change over the Gibbs-stochastic polytope.
+def max_energy_gain(lp: GibbsStochasticLP, maximize: bool = True) -> HeatOptimum:
+    """Maximize (or minimize) the system energy change over the polytope.
 
-    Variables are the d^2 entries of G; the 2d equality rows are the column
-    sums and the Gibbs fixed-vector condition (one row is redundant, which
-    the solver tolerates).  The returned matrix is re-checked against the
-    polytope and the objective to 1e-9.
+    Variables are the d^2 entries of G.  The returned matrix is re-checked
+    against the polytope and the objective to 1e-9.
     """
     d = lp.dim
-    if d > ORACLE_DIM_CAP:
-        raise ValidationError(f"oracle dimension cap is {ORACLE_DIM_CAP}, got {d}")
-    e, p = lp.energies, lp.populations
-    g = gibbs_populations(e, lp.beta_bath)
-
-    nvar = d * d  # G[i, j] -> x[i*d + j]
-    a_eq = np.zeros((2 * d, nvar))
-    b_eq = np.zeros(2 * d)
-    for j in range(d):
-        for i in range(d):
-            a_eq[j, i * d + j] = 1.0
-        b_eq[j] = 1.0
-    for i in range(d):
-        for j in range(d):
-            a_eq[d + i, i * d + j] = g[j]
-        b_eq[d + i] = g[i]
-    cost = np.zeros(nvar)
-    for i in range(d):
-        for j in range(d):
-            cost[i * d + j] = e[i] * p[j]
-
-    result = simplex.solve_lp(cost, a_eq=a_eq, b_eq=b_eq, maximize=(lp.sense == "maximize"))
+    e, p, g = lp.energies, lp.populations, lp.gibbs
+    result = simplex.solve_lp(lp.cost, a_eq=lp.a_eq, b_eq=lp.b_eq, maximize=maximize)
     G = result.x.reshape(d, d)
 
     col_dev = np.abs(G.sum(axis=0) - 1.0).max()
@@ -138,7 +140,7 @@ def max_energy_gain(lp: GibbsStochasticLP) -> HeatOptimum:
     value = float(e @ (G @ p) - e @ p)
     if abs(value - (result.value - float(e @ p))) > POLYTOPE_TOL:
         raise linalg.SolverError("objective recomputation mismatch beyond 1e-9")
-    return HeatOptimum(value=value, matrix=G, status="optimal")
+    return HeatOptimum(value=value, matrix=G, residual=float(max(col_dev, fix_dev)))
 
 
 def heat_sign_oracle(system: QuantumSystem, beta_bath: float) -> HeatVerdict:
@@ -147,14 +149,13 @@ def heat_sign_oracle(system: QuantumSystem, beta_bath: float) -> HeatVerdict:
     can_cool: some thermometer at beta_bath loses energy, i.e. the system
     can gain energy under a Gibbs-stochastic map; can_heat symmetrically.
     Strict inequalities are realized with a 1e-9 margin, since the simplex
-    returns exact vertices up to float noise.  The two optima that decide
-    the verdicts are returned with them.
+    returns exact vertices up to float noise.  One LP model is solved in
+    both directions, and the two optima that decide the verdicts are
+    returned with them.
     """
-    if system.dim > ORACLE_DIM_CAP:
-        raise ValidationError(f"oracle dimension cap is {ORACLE_DIM_CAP}, got {system.dim}")
-    p = system.populations
-    gain = max_energy_gain(GibbsStochasticLP(p, system.energies, beta_bath, sense="maximize"))
-    loss = max_energy_gain(GibbsStochasticLP(p, system.energies, beta_bath, sense="minimize"))
+    lp = GibbsStochasticLP(system.populations, system.energies, beta_bath)
+    gain = max_energy_gain(lp, maximize=True)
+    loss = max_energy_gain(lp, maximize=False)
     return HeatVerdict(
         can_cool=bool(gain.value > SIGN_MARGIN),
         can_heat=bool(loss.value < -SIGN_MARGIN),
@@ -244,8 +245,7 @@ def simulated_protocol_heat(
     h_int[2 * i + 1, 2 * j + 0] = 1.0
     u = linalg.unitary_evolution(h_int, math.pi / 2)
 
-    rho_e = system.rho_energy_basis
-    joint = u @ linalg.tensor_product(rho_e, gamma_b) @ u.conj().T
+    joint = u @ linalg.tensor_product(system.rho, gamma_b) @ u.conj().T
     sigma_b = linalg.partial_trace(joint, (d, 2), keep="second")
     return float(np.real(np.trace(h_b @ (sigma_b - gamma_b))))
 
@@ -286,13 +286,7 @@ def equivalence_trials(
         for _ in range(baths_per_system):
             beta_bath = float(rng.uniform(-3.0, 3.0))
             verdict = heat_sign_oracle(system, beta_bath)
-            g = gibbs_populations(system.energies, beta_bath)
-            for opt in (verdict.gain, verdict.loss):
-                residual = max(
-                    residual,
-                    float(np.abs(opt.matrix.sum(axis=0) - 1.0).max()),
-                    float(np.abs(opt.matrix @ g - g).max()),
-                )
+            residual = max(residual, verdict.gain.residual, verdict.loss.residual)
             cases += 1
             if (verdict.can_cool, verdict.can_heat) != predicted_verdicts(pair, beta_bath):
                 disagreements += 1

@@ -26,7 +26,6 @@ class UnboundedProblem(SolverError):
 class LPResult:
     value: float
     x: np.ndarray
-    status: str
 
 
 def solve_lp(
@@ -69,4 +68,4 @@ def solve_lp(
     if residual > FEASIBILITY_TOL or x.min() < -FEASIBILITY_TOL:
         raise SolverError(f"vertex failed feasibility check: residual {residual:.3e}")
 
-    return LPResult(value=float(cost @ x), x=x, status="optimal")
+    return LPResult(value=float(cost @ x), x=x)

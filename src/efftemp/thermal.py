@@ -40,32 +40,20 @@ def check_energy_levels(energies) -> np.ndarray:
 class QuantumSystem:
     """A Hamiltonian spectrum paired with a density matrix.
 
-    `energies` are the Hamiltonian eigenvalues in ascending order.  When
-    `eigenbasis` is given, H = V diag(energies) V^dag and `rho` is expressed
-    in the same outer basis; otherwise the state is already in the energy
-    eigenbasis.
+    `energies` are the Hamiltonian eigenvalues in ascending order, and
+    `rho` is expressed in the same energy eigenbasis.
     """
 
     energies: np.ndarray
     rho: np.ndarray
-    eigenbasis: np.ndarray | None = None
 
     def __post_init__(self):
         e = check_energy_levels(self.energies)
         rho = linalg.check_density_matrix(self.rho)
         if rho.shape[0] != e.size:
             raise ValidationError(f"state dimension {rho.shape[0]} != {e.size} energy levels")
-        basis = self.eigenbasis
-        if basis is not None:
-            basis = linalg.as_square(basis, "eigenbasis")
-            if basis.shape[0] != e.size:
-                raise ValidationError("eigenbasis dimension mismatch")
-            dev = np.abs(basis.conj().T @ basis - np.eye(e.size)).max()
-            if dev > 1e-10:
-                raise ValidationError(f"eigenbasis is not unitary: deviation {dev:.3e}")
         object.__setattr__(self, "energies", e)
         object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "eigenbasis", basis)
         if abs(self.populations.sum() - 1.0) > 1e-10:
             raise ValidationError("populations do not sum to 1 within 1e-10")
 
@@ -74,26 +62,13 @@ class QuantumSystem:
         return self.energies.size
 
     @property
-    def rho_energy_basis(self) -> np.ndarray:
-        """The state rotated into the energy eigenbasis."""
-        if self.eigenbasis is None:
-            return self.rho
-        return self.eigenbasis.conj().T @ self.rho @ self.eigenbasis
-
-    @property
     def populations(self) -> np.ndarray:
         """p_i = <e_i| rho |e_i>."""
-        return np.diag(self.rho_energy_basis).real.copy()
+        return np.diag(self.rho).real.copy()
 
     @property
     def mean_energy(self) -> float:
         return float(self.populations @ self.energies)
-
-    def hamiltonian(self) -> np.ndarray:
-        h = np.diag(self.energies).astype(complex)
-        if self.eigenbasis is None:
-            return h
-        return self.eigenbasis @ h @ self.eigenbasis.conj().T
 
     @functools.cached_property
     def entropy(self) -> float:
@@ -103,17 +78,13 @@ class QuantumSystem:
 
 @dataclass(frozen=True)
 class GibbsSolveResult:
-    """Outcome of a Gibbs construction: state diagonal in the energy basis."""
+    """Outcome of a Gibbs construction: the state's energy-basis populations."""
 
     beta: float
-    state: np.ndarray
+    populations: np.ndarray
     mean_energy: float
     entropy: float
     energy_variance: float
-
-    @property
-    def populations(self) -> np.ndarray:
-        return np.diag(self.state).real.copy()
 
 
 def gibbs_populations(energies, beta: float) -> np.ndarray:
@@ -142,7 +113,7 @@ def _result_from_populations(e: np.ndarray, beta: float, p: np.ndarray) -> Gibbs
     var = float(p @ (e - mean) ** 2)
     return GibbsSolveResult(
         beta=beta,
-        state=np.diag(p).astype(complex),
+        populations=p,
         mean_energy=mean,
         entropy=linalg.entropy_of_probabilities(p),
         energy_variance=max(0.0, var),

@@ -190,6 +190,17 @@ class TestTimeSeries:
         assert series.time_series[0, 0] == 0.0
         assert series.time_series[-1, 0] == pytest.approx(30.0)
 
+    def test_builds_the_hamiltonian_once(self, monkeypatch):
+        # the series evolves the grid only; the return at tau is the fixed
+        # point's job, so no second channel is built for it
+        calls = []
+        build = catalysis.jc_hamiltonian
+        monkeypatch.setattr(catalysis, "jc_hamiltonian", lambda c: calls.append(c) or build(c))
+        config = JCConfig(time_grid=default_time_grid(steps=10))
+        series = run_time_series(config, uniform_superposition_state(3), np.eye(2) / 2)
+        assert len(calls) == 1
+        assert isinstance(series, catalysis.TimeSeriesResult)
+
 
 class TestQutritBlockUnitary:
     def test_unitary(self):

@@ -25,16 +25,17 @@ class TestMaxEnergyGain:
         e = random_energies(rng, 3)
         beta = 0.8
         p = gibbs_by_beta(e, beta).populations
-        for sense in ("maximize", "minimize"):
-            opt = max_energy_gain(GibbsStochasticLP(p, e, beta, sense))
+        lp = GibbsStochasticLP(p, e, beta)
+        for maximize in (True, False):
+            opt = max_energy_gain(lp, maximize=maximize)
             assert abs(opt.value) <= 1e-9
 
     @pytest.mark.parametrize("beta_bath", [0.0, 0.5, 1.0, np.log(4) - 0.05])
     def test_qubit_closed_form(self, beta_bath):
         # the optimal vertex is the full beta-swap: gain = p0 e^-beta - p1,
         # which is the two-level transfer delta_01 rescaled by 1/g0
-        lp = GibbsStochasticLP(QUBIT.populations, QUBIT.energies, beta_bath, "maximize")
-        opt = max_energy_gain(lp)
+        lp = GibbsStochasticLP(QUBIT.populations, QUBIT.energies, beta_bath)
+        opt = max_energy_gain(lp, maximize=True)
         expected = 0.8 * math.exp(-beta_bath) - 0.2
         assert opt.value == pytest.approx(expected, abs=1e-10)
         protocol = build_cooling_protocol(QUBIT, beta_bath)
@@ -42,8 +43,8 @@ class TestMaxEnergyGain:
 
     def test_colder_bath_cannot_feed_energy(self):
         for beta_bath in (np.log(4), 1.5, 2.5):
-            lp = GibbsStochasticLP(QUBIT.populations, QUBIT.energies, beta_bath, "maximize")
-            assert max_energy_gain(lp).value <= 1e-9
+            lp = GibbsStochasticLP(QUBIT.populations, QUBIT.energies, beta_bath)
+            assert max_energy_gain(lp, maximize=True).value <= 1e-9
 
     def test_matrix_invariants(self, rng):
         for _ in range(20):
@@ -51,7 +52,7 @@ class TestMaxEnergyGain:
             e = random_energies(rng, dim)
             p = rng.dirichlet(np.ones(dim))
             beta = float(rng.uniform(-2.0, 2.0))
-            opt = max_energy_gain(GibbsStochasticLP(p, e, beta, "maximize"))
+            opt = max_energy_gain(GibbsStochasticLP(p, e, beta), maximize=True)
             g = gibbs_populations(e, beta)
             assert np.abs(opt.matrix.sum(axis=0) - 1.0).max() <= 1e-9
             assert np.abs(opt.matrix @ g - g).max() <= 1e-9
@@ -63,17 +64,75 @@ class TestMaxEnergyGain:
         e = random_energies(rng, 3)
         p = rng.dirichlet(np.ones(3))
         for shift in (0.7, -0.4):
-            base = max_energy_gain(GibbsStochasticLP(p, e, 0.9, "maximize")).value
-            moved = max_energy_gain(GibbsStochasticLP(p, e + shift, 0.9, "maximize")).value
+            base = max_energy_gain(GibbsStochasticLP(p, e, 0.9), maximize=True).value
+            moved = max_energy_gain(GibbsStochasticLP(p, e + shift, 0.9), maximize=True).value
             assert moved == pytest.approx(base, abs=1e-9)
 
     def test_minimize_sense(self):
-        lp = GibbsStochasticLP(QUBIT.populations, QUBIT.energies, 2.0, "minimize")
-        opt = max_energy_gain(lp)
+        lp = GibbsStochasticLP(QUBIT.populations, QUBIT.energies, 2.0)
+        opt = max_energy_gain(lp, maximize=False)
         assert opt.value < -1e-6  # a colder bath absorbs energy
 
+    def test_residual_is_the_polytope_deviation(self, rng):
+        for _ in range(20):
+            dim = int(rng.integers(2, 7))
+            e = random_energies(rng, dim)
+            p = rng.dirichlet(np.ones(dim))
+            beta = float(rng.uniform(-2.0, 2.0))
+            lp = GibbsStochasticLP(p, e, beta)
+            g = gibbs_populations(e, beta)
+            for maximize in (True, False):
+                opt = max_energy_gain(lp, maximize=maximize)
+                recomputed = max(
+                    float(np.abs(opt.matrix.sum(axis=0) - 1.0).max()),
+                    float(np.abs(opt.matrix @ g - g).max()),
+                )
+                assert opt.residual == recomputed
+                assert opt.residual <= oracle.POLYTOPE_TOL
 
-def highs_energy_change(populations, energies, beta_bath: float, sense: str) -> float:
+
+def loop_built_lp_data(populations, energies, beta_bath):
+    """The LP rows and cost built entry by entry, G[i, j] -> x[i*d + j]."""
+    e = np.asarray(energies, dtype=float)
+    p = np.maximum(np.asarray(populations, dtype=float), 0.0)
+    g = gibbs_populations(e, beta_bath)
+    d = e.size
+    a_eq = np.zeros((2 * d, d * d))
+    b_eq = np.zeros(2 * d)
+    cost = np.zeros(d * d)
+    for j in range(d):
+        for i in range(d):
+            a_eq[j, i * d + j] = 1.0
+        b_eq[j] = 1.0
+    for i in range(d):
+        for j in range(d):
+            a_eq[d + i, i * d + j] = g[j]
+            cost[i * d + j] = e[i] * p[j]
+        b_eq[d + i] = g[i]
+    return a_eq, b_eq, cost
+
+
+class TestGibbsStochasticLPModel:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
+    def test_data_match_the_entrywise_build_bit_for_bit(self, dim):
+        rng = np.random.default_rng(4000 + dim)
+        for beta in (-2.5, 0.0, 0.3, 1.7):
+            e = random_energies(rng, dim)
+            p = rng.dirichlet(np.ones(dim))
+            lp = GibbsStochasticLP(p, e, beta)
+            a_eq, b_eq, cost = loop_built_lp_data(p, e, beta)
+            assert np.array_equal(lp.a_eq, a_eq)
+            assert np.array_equal(lp.b_eq, b_eq)
+            assert np.array_equal(lp.cost, cost)
+            assert np.array_equal(lp.gibbs, gibbs_populations(e, beta))
+
+    def test_clamps_rounding_negatives_before_the_cost(self):
+        lp = GibbsStochasticLP(np.array([1.0 + 1e-13, -1e-13]), np.array([0.0, 1.0]), 0.5)
+        assert lp.populations.tolist() == [1.0 + 1e-13, 0.0]
+        assert lp.cost.tolist() == [0.0, 0.0, 1.0 + 1e-13, 0.0]
+
+
+def highs_energy_change(populations, energies, beta_bath: float, maximize: bool) -> float:
     """Optimum of e^T (G - 1) p over the Gibbs-stochastic polytope, by HiGHS.
 
     Built from the definition alone, with no efftemp code: G >= 0 with unit
@@ -90,7 +149,7 @@ def highs_energy_change(populations, energies, beta_bath: float, sense: str) -> 
     a_eq = np.vstack([columns, fixes])
     b_eq = np.concatenate([np.ones(d), g])
     cost = np.outer(e, p).ravel()  # x[i*d + j] = G[i, j]
-    sign = -1.0 if sense == "maximize" else 1.0
+    sign = -1.0 if maximize else 1.0
     res = linprog(sign * cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
     assert res.status == 0, res.message
     return sign * res.fun - float(e @ p)
@@ -99,10 +158,11 @@ def highs_energy_change(populations, energies, beta_bath: float, sense: str) -> 
 class TestHighsCrossCheck:
     @staticmethod
     def check(populations, energies, beta_bath):
-        for sense in ("maximize", "minimize"):
-            ours = max_energy_gain(GibbsStochasticLP(populations, energies, beta_bath, sense))
+        lp = GibbsStochasticLP(populations, energies, beta_bath)
+        for maximize in (True, False):
+            ours = max_energy_gain(lp, maximize=maximize)
             assert ours.value == pytest.approx(
-                highs_energy_change(populations, energies, beta_bath, sense), abs=1e-9
+                highs_energy_change(populations, energies, beta_bath, maximize), abs=1e-9
             )
 
     @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
@@ -156,10 +216,9 @@ class TestHeatSignOracle:
     def test_returns_the_deciding_optima(self):
         system = diag_system([0.0, 1.0, 2.0], ROTATED_QUTRIT_DIAG)
         verdict = heat_sign_oracle(system, 0.5)
-        for opt, sense in ((verdict.gain, "maximize"), (verdict.loss, "minimize")):
-            again = max_energy_gain(
-                GibbsStochasticLP(system.populations, system.energies, 0.5, sense)
-            )
+        lp = GibbsStochasticLP(system.populations, system.energies, 0.5)
+        for opt, maximize in ((verdict.gain, True), (verdict.loss, False)):
+            again = max_energy_gain(lp, maximize=maximize)
             assert opt.value == again.value
             assert np.array_equal(opt.matrix, again.matrix)
         assert verdict.can_cool == (verdict.gain.value > oracle.SIGN_MARGIN)
@@ -184,6 +243,64 @@ class TestHeatSignOracle:
         system = diag_system(np.arange(7.0), np.ones(7) / 7)
         with pytest.raises(ValidationError, match="cap"):
             heat_sign_oracle(system, 1.0)
+
+    def test_one_model_and_one_constraint_build_per_verdict(self, monkeypatch):
+        built = []
+        solved = []
+        post_init = GibbsStochasticLP.__post_init__
+        solve_lp = oracle.simplex.solve_lp
+
+        def counting_post_init(lp):
+            built.append(lp)
+            post_init(lp)
+
+        def recording_solve_lp(c, a_eq, b_eq, maximize=False, **kwargs):
+            solved.append((c, a_eq, b_eq, maximize))
+            return solve_lp(c, a_eq, b_eq, maximize=maximize, **kwargs)
+
+        monkeypatch.setattr(GibbsStochasticLP, "__post_init__", counting_post_init)
+        monkeypatch.setattr(oracle.simplex, "solve_lp", recording_solve_lp)
+        heat_sign_oracle(diag_system([0.0, 1.0, 2.0], ROTATED_QUTRIT_DIAG), 0.5)
+        assert len(built) == 1
+        assert [call[3] for call in solved] == [True, False]
+        (lp,) = built
+        for c, a_eq, b_eq, _ in solved:
+            assert c is lp.cost and a_eq is lp.a_eq and b_eq is lp.b_eq
+
+    @pytest.mark.parametrize(
+        "energies",
+        [
+            [0.0, 0.0, 1.0],
+            [0.0, 0.6, 0.6, 1.3],
+            [0.0, 0.4, 0.4, 0.4, 1.1],
+            [0.0, 0.5, 0.5, 1.0, 1.0, 1.0],
+        ],
+        ids=["d3", "d4", "d5", "d6"],
+    )
+    def test_relabelling_degenerate_levels_keeps_the_verdicts(self, energies):
+        e = np.asarray(energies)
+        d = e.size
+        rng = np.random.default_rng(5000 + d)
+        # cycle the labels inside each block of equal energies
+        perm = np.arange(d)
+        for level in np.unique(e):
+            block = np.flatnonzero(e == level)
+            perm[block] = np.roll(block, 1)
+        assert not np.array_equal(perm, np.arange(d))
+        for _ in range(6):
+            p = rng.dirichlet(np.ones(d))
+            system = diag_system(e, p)
+            relabelled = diag_system(e, p[perm])
+            pair = single_copy_effective(system)
+            for beta_bath in rng.uniform(-3.0, 3.0, 4):
+                # keep away from the ties at beta_c and beta_h
+                if min(abs(beta_bath - pair.beta_c), abs(beta_bath - pair.beta_h)) < 1e-3:
+                    continue
+                verdict = heat_sign_oracle(system, beta_bath)
+                again = heat_sign_oracle(relabelled, beta_bath)
+                assert (again.can_cool, again.can_heat) == (verdict.can_cool, verdict.can_heat)
+                assert again.gain.value == pytest.approx(verdict.gain.value, abs=1e-12)
+                assert again.loss.value == pytest.approx(verdict.loss.value, abs=1e-12)
 
     def test_matches_formula_on_small_batch(self, rng):
         report = oracle.equivalence_trials(30, 3, seed=1234)
@@ -252,9 +369,9 @@ class TestGibbsStochasticLPValidation:
         with pytest.raises(ValidationError):
             GibbsStochasticLP(np.array([np.nan, 1.0]), np.array([0.0, 1.0]), 1.0)
 
-    def test_rejects_bad_sense(self):
-        with pytest.raises(ValidationError):
-            GibbsStochasticLP(np.array([0.5, 0.5]), np.array([0.0, 1.0]), 1.0, "maximise")
+    def test_rejects_dimension_over_cap(self):
+        with pytest.raises(ValidationError, match="cap is 6, got 7"):
+            GibbsStochasticLP(np.ones(7) / 7, np.arange(7.0), 1.0)
 
     def test_rejects_infinite_bath(self):
         with pytest.raises(ValidationError):

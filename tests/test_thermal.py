@@ -210,17 +210,6 @@ class TestEnergyVariance:
 
 
 class TestQuantumSystem:
-    def test_populations_with_eigenbasis(self, rng):
-        from conftest import random_unitary
-
-        e = np.array([0.0, 1.0, 2.0])
-        p = np.array([0.5, 0.3, 0.2])
-        u = random_unitary(rng, 3)
-        rho = u @ np.diag(p).astype(complex) @ u.conj().T
-        system = QuantumSystem(energies=e, rho=rho, eigenbasis=u)
-        assert_allclose(system.populations, p, atol=1e-12)
-        assert_allclose(system.hamiltonian(), u @ np.diag(e) @ u.conj().T, atol=1e-12)
-
     def test_rejects_unsorted_energies(self):
         with pytest.raises(ValidationError):
             diag_system([1.0, 0.0], [0.5, 0.5])
