@@ -47,7 +47,7 @@ def default_time_grid(steps: int = 600, t_max: float = 30.0) -> np.ndarray:
     return np.linspace(0.0, t_max, steps + 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JCConfig:
     """Resonant Jaynes-Cummings configuration with a truncated cavity.
 
@@ -99,7 +99,7 @@ class JCConfig:
         return np.array([0.0, self.omega_r])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CatalysisResult:
     """Catalyst state and its return residual after one period tau."""
 
@@ -107,7 +107,7 @@ class CatalysisResult:
     fixed_point_residual: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimeSeriesResult:
     """The recorded time series and the truncation diagnostic.
 
@@ -334,7 +334,7 @@ def qutrit_state(lam: float, beta: float) -> np.ndarray:
     return (1.0 - lam) * np.diag(w).astype(complex) + lam * uniform_superposition_state(3)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QutritCatalystSetup:
     """Coherence weight lam in [0, 1], bath beta, and the frame state."""
 

@@ -203,6 +203,9 @@ def cmd_oracle(args) -> tuple[dict, list, str]:
     system, digest = load_system_file(args.path)
     if args.random is not None and args.seed is None:
         raise ValidationError("--random requires an explicit --seed")
+    for flag, value in (("--random", args.random), ("--seed", args.seed)):
+        if value is not None and value < 0:
+            raise ValidationError(f"{flag} must be a non-negative integer, got {value}")
     verdict = oracle.heat_sign_oracle(system, args.beta_bath)
     pair = temperatures.single_copy_effective(system)
     predicted_cool, predicted_heat = oracle.predicted_verdicts(pair, args.beta_bath)

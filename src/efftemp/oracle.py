@@ -19,14 +19,65 @@ import numpy as np
 
 from . import linalg, simplex, temperatures
 from .linalg import ValidationError
-from .thermal import QuantumSystem, _gibbs_populations, check_energy_levels
+from .thermal import QuantumSystem, _gibbs_rows, check_energy_levels
 
 ORACLE_DIM_CAP = 6
 SIGN_MARGIN = 1e-9       # numerical margin realizing strict heat-sign inequalities
 POLYTOPE_TOL = 1e-9
+# tableau bytes, both directions, of the systems `equivalence_trials` solves
+# in one chunk; the chunk's LP data and kernel temporaries take a few times
+# this, whatever the number of systems
+TRIAL_CHUNK_BYTES = 1 << 20
 
 
-@dataclass(frozen=True)
+def _lp_rows(energies, populations, beta_bath):
+    """Gibbs weights and LP data of one model per row.
+
+    energies and populations are (S, d), beta_bath (S,); returns g (S, d),
+    a_eq (S, 2d, d^2), b_eq (S, 2d) and cost (S, d^2) in the layout of
+    `GibbsStochasticLP`, every entry 1.0, a copy of g[j] or e[i] * p[j].
+    """
+    S, d = populations.shape
+    g = _gibbs_rows(energies, beta_bath)
+    a_eq = np.zeros((S, 2 * d, d, d))  # a_eq[s, row, i, j] multiplies G[i, j]
+    k = np.arange(d)
+    a_eq[:, k, :, k] = 1.0
+    a_eq[:, d + k, k] = g[:, None, :]
+    b_eq = np.concatenate([np.ones((S, d)), g], axis=1)
+    cost = (energies[:, :, None] * populations[:, None, :]).reshape(S, d * d)
+    return g, a_eq.reshape(S, 2 * d, d * d), b_eq, cost
+
+
+def _checked_optima(energies, populations, gibbs, x, lp_values):
+    """Energy changes and polytope residuals of a stack of LP optima.
+
+    Row s holds one model's energies, populations and Gibbs weights, its
+    vertex x (d^2,) and the LP value cost @ x.  Each matrix G is re-checked
+    against the polytope and the objective to POLYTOPE_TOL; raises
+    SolverError for the first that fails.  Returns lambda^T (G - 1) p and
+    max(|1^T G - 1^T|, |G g - g|) per row.
+    """
+    S, d = populations.shape
+    G = x.reshape(S, d, d)
+    col_dev = np.abs(G.sum(axis=1) - 1.0).max(axis=1)
+    fix_dev = np.abs(np.matmul(G, gibbs[:, :, None])[:, :, 0] - gibbs).max(axis=1)
+    bad = np.flatnonzero(
+        (x.min(axis=1) < -POLYTOPE_TOL) | (col_dev > POLYTOPE_TOL) | (fix_dev > POLYTOPE_TOL)
+    )
+    if bad.size:
+        s = bad[0]
+        raise linalg.SolverError(
+            f"optimal matrix violates the polytope: cols {col_dev[s]:.2e}, fix {fix_dev[s]:.2e}"
+        )
+    before = np.matmul(energies[:, None, :], populations[:, :, None])[:, 0, 0]
+    after = np.matmul(energies[:, None, :], np.matmul(G, populations[:, :, None]))[:, 0, 0]
+    value = after - before
+    if np.any(np.abs(value - (lp_values - before)) > POLYTOPE_TOL):
+        raise linalg.SolverError("objective recomputation mismatch beyond 1e-9")
+    return value, np.maximum(col_dev, fix_dev)
+
+
+@dataclass(frozen=True, eq=False)
 class GibbsStochasticLP:
     """Energy-change optimization over {G >= 0, 1^T G = 1^T, G g = g}.
 
@@ -34,6 +85,7 @@ class GibbsStochasticLP:
     and the LP data in the layout G[i, j] -> x[i*d + j]: rows j < d are the
     column sums, rows d + i the fixed-vector condition (one row is
     redundant, which the solver tolerates), and cost[i*d + j] = e_i p_j.
+    The data are the one-row case of `_lp_rows`.
     """
 
     populations: np.ndarray
@@ -57,24 +109,20 @@ class GibbsStochasticLP:
         if not math.isfinite(self.beta_bath):
             raise ValidationError("bath inverse temperature must be finite")
         p = np.maximum(p, 0.0)
-        g = _gibbs_populations(e, self.beta_bath)
-        a_eq = np.zeros((2 * d, d, d))  # a_eq[row, i, j] multiplies G[i, j]
-        k = np.arange(d)
-        a_eq[k, :, k] = 1.0
-        a_eq[d + k, k] = g
+        g, a_eq, b_eq, cost = _lp_rows(e[None], p[None], np.array([float(self.beta_bath)]))
         object.__setattr__(self, "populations", p)
         object.__setattr__(self, "energies", e)
-        object.__setattr__(self, "gibbs", g)
-        object.__setattr__(self, "a_eq", a_eq.reshape(2 * d, d * d))
-        object.__setattr__(self, "b_eq", np.concatenate([np.ones(d), g]))
-        object.__setattr__(self, "cost", np.outer(e, p).ravel())
+        object.__setattr__(self, "gibbs", g[0])
+        object.__setattr__(self, "a_eq", a_eq[0])
+        object.__setattr__(self, "b_eq", b_eq[0])
+        object.__setattr__(self, "cost", cost[0])
 
     @property
     def dim(self) -> int:
         return self.energies.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HeatOptimum:
     """LP optimum of lambda^T (G - 1) p with its certifying matrix.
 
@@ -126,21 +174,14 @@ def max_energy_gain(lp: GibbsStochasticLP, maximize: bool = True) -> HeatOptimum
     Variables are the d^2 entries of G.  The returned matrix is re-checked
     against the polytope and the objective to 1e-9.
     """
-    d = lp.dim
-    e, p, g = lp.energies, lp.populations, lp.gibbs
     result = simplex.solve_lp(lp.cost, a_eq=lp.a_eq, b_eq=lp.b_eq, maximize=maximize)
-    G = result.x.reshape(d, d)
-
-    col_dev = np.abs(G.sum(axis=0) - 1.0).max()
-    fix_dev = np.abs(G @ g - g).max()
-    if G.min() < -POLYTOPE_TOL or col_dev > POLYTOPE_TOL or fix_dev > POLYTOPE_TOL:
-        raise linalg.SolverError(
-            f"optimal matrix violates the polytope: cols {col_dev:.2e}, fix {fix_dev:.2e}"
-        )
-    value = float(e @ (G @ p) - e @ p)
-    if abs(value - (result.value - float(e @ p))) > POLYTOPE_TOL:
-        raise linalg.SolverError("objective recomputation mismatch beyond 1e-9")
-    return HeatOptimum(value=value, matrix=G, residual=float(max(col_dev, fix_dev)))
+    value, residual = _checked_optima(
+        lp.energies[None], lp.populations[None], lp.gibbs[None], result.x[None],
+        np.array([result.value]),
+    )
+    return HeatOptimum(
+        value=float(value[0]), matrix=result.x.reshape(lp.dim, lp.dim), residual=float(residual[0])
+    )
 
 
 def heat_sign_oracle(system: QuantumSystem, beta_bath: float) -> HeatVerdict:
@@ -275,21 +316,51 @@ def equivalence_trials(
     For each random diagonal system and bath temperature the oracle verdict
     must match `predicted_verdicts`: cooling possible iff the bath is strictly
     hotter than beta_c, heating possible iff strictly colder than beta_h.
+
+    The verdicts are those of `heat_sign_oracle`, bit for bit, but solved in
+    stacks: systems are drawn in chunks of about TRIAL_CHUNK_BYTES of
+    tableaux, and each dimension of a chunk is one `simplex.solve_lps` call
+    over all its baths, maximized and minimized.
     """
     rng = np.random.default_rng(seed)
+    # two (m + 1) x (n + m + 1) tableaux per bath at the largest dimension
+    m, n = 2 * max(dims), max(dims) ** 2
+    system_bytes = 2 * baths_per_system * 8 * (m + 1) * (n + m + 1)
+    chunk = max(1, TRIAL_CHUNK_BYTES // max(1, system_bytes))
     disagreements = 0
     cases = 0
     residual = 0.0
-    for k in range(n_systems):
-        system = random_diagonal_system(rng, dims[k % len(dims)])
-        pair = temperatures.single_copy_effective(system)
-        for _ in range(baths_per_system):
-            beta_bath = float(rng.uniform(-3.0, 3.0))
-            verdict = heat_sign_oracle(system, beta_bath)
-            residual = max(residual, verdict.gain.residual, verdict.loss.residual)
-            cases += 1
-            if (verdict.can_cool, verdict.can_heat) != predicted_verdicts(pair, beta_bath):
-                disagreements += 1
+    for start in range(0, n_systems, chunk):
+        drawn = []
+        for k in range(start, min(start + chunk, n_systems)):
+            system = random_diagonal_system(rng, dims[k % len(dims)])
+            baths = [float(rng.uniform(-3.0, 3.0)) for _ in range(baths_per_system)]
+            drawn.append((system, baths))
+        for d in dict.fromkeys(dims):
+            group = [(system, baths) for system, baths in drawn if system.dim == d and baths]
+            if not group:
+                continue
+            if d > ORACLE_DIM_CAP:
+                raise ValidationError(f"oracle dimension cap is {ORACLE_DIM_CAP}, got {d}")
+            size = len(group) * baths_per_system
+            e = np.repeat([system.energies for system, _ in group], baths_per_system, axis=0)
+            p = np.repeat([system.populations for system, _ in group], baths_per_system, axis=0)
+            beta = np.array([b for _, baths in group for b in baths])
+            # rows [0, size) maximize and rows [size, 2 size) minimize the same models
+            e, p, beta = (np.concatenate([a, a]) for a in (e, np.maximum(p, 0.0), beta))
+            g, a_eq, b_eq, cost = _lp_rows(e, p, beta)
+            lp_values, x = simplex.solve_lps(cost, a_eq, b_eq, maximize=np.arange(2 * size) < size)
+            values, residuals = _checked_optima(e, p, g, x, lp_values)
+            residual = max(residual, float(residuals.max()))
+            can_cool = (values[:size] > SIGN_MARGIN).tolist()
+            can_heat = (values[size:] < -SIGN_MARGIN).tolist()
+            verdicts = iter(zip(can_cool, can_heat))
+            for system, baths in group:
+                pair = temperatures.single_copy_effective(system)
+                for beta_bath in baths:
+                    if next(verdicts) != predicted_verdicts(pair, beta_bath):
+                        disagreements += 1
+            cases += size
     return EquivalenceReport(
         cases=cases, disagreements=disagreements, max_polytope_residual=residual
     )

@@ -36,7 +36,7 @@ def check_energy_levels(energies) -> np.ndarray:
     return e
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuantumSystem:
     """A Hamiltonian spectrum paired with a density matrix.
 
@@ -76,7 +76,7 @@ class QuantumSystem:
         return linalg.von_neumann_entropy(self.rho)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GibbsSolveResult:
     """Outcome of a Gibbs construction: the state's energy-basis populations."""
 
@@ -106,6 +106,18 @@ def _gibbs_populations(e: np.ndarray, beta: float) -> np.ndarray:
     t = beta * e
     w = np.exp(-(t - t.min()))
     return w / w.sum()
+
+
+def _gibbs_rows(e: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """`_gibbs_populations` of each row of (S, d) ladders at its finite beta (S,).
+
+    The same arithmetic per row, so the same bits.  Kept apart from
+    `_gibbs_populations`, whose scalar callers (the bisection in
+    `gibbs_by_energy`) would pay for the axis arguments on every step.
+    """
+    t = beta[:, None] * e
+    w = np.exp(-(t - t.min(axis=1, keepdims=True)))
+    return w / w.sum(axis=1, keepdims=True)
 
 
 def _result_from_populations(e: np.ndarray, beta: float, p: np.ndarray) -> GibbsSolveResult:

@@ -250,6 +250,33 @@ class TestOracle:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "flags,named",
+        [
+            (("--random", "1", "--seed", "-4"), "--seed"),
+            (("--random", "-5", "--seed", "3"), "--random"),
+            (("--seed", "-1"), "--seed"),
+        ],
+    )
+    def test_negative_count_or_seed_exits_1_with_a_report(self, capsys, gibbs_file, flags, named):
+        code = main(["oracle", gibbs_file, "--beta-bath", "0.2", *flags])
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert code == 1 and report["status"] == 1
+        assert report["error"].startswith(f"{named} must be a non-negative integer")
+        assert "results" not in report
+        assert captured.err == ""
+
+    def test_zero_random_systems(self, capsys, gibbs_file):
+        code, report = run_cli(
+            capsys, "oracle", gibbs_file, "--beta-bath", "0.2", "--random", "0", "--seed", "3"
+        )
+        assert code == 0
+        assert report["results"]["random_trials"] == {
+            "systems": 0, "baths_per_system": 5, "seed": 3, "cases": 0, "disagreements": 0,
+            "max_polytope_residual": 0.0,
+        }
+
     def test_dimension_cap_exits_1(self, capsys, tmp_path):
         path = write_json(
             tmp_path / "big.json",

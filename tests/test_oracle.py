@@ -309,6 +309,67 @@ class TestHeatSignOracle:
         assert report.max_polytope_residual <= 1e-9
 
 
+def looped_trials(n_systems, baths_per_system, seed, dims):
+    """`equivalence_trials` one `heat_sign_oracle` verdict at a time."""
+    rng = np.random.default_rng(seed)
+    cases = disagreements = 0
+    residual = 0.0
+    for k in range(n_systems):
+        system = oracle.random_diagonal_system(rng, dims[k % len(dims)])
+        pair = single_copy_effective(system)
+        for _ in range(baths_per_system):
+            beta_bath = float(rng.uniform(-3.0, 3.0))
+            verdict = heat_sign_oracle(system, beta_bath)
+            residual = max(residual, verdict.gain.residual, verdict.loss.residual)
+            cases += 1
+            if (verdict.can_cool, verdict.can_heat) != oracle.predicted_verdicts(pair, beta_bath):
+                disagreements += 1
+    return cases, disagreements, residual
+
+
+class TestStackedTrials:
+    @pytest.mark.parametrize("dims", [(3, 4), (2, 3, 4, 5, 6)], ids=["d3-4", "d2-6"])
+    @pytest.mark.parametrize("n_systems", [0, 1, 3, 8, 40])
+    @pytest.mark.parametrize("small_chunks", [False, True], ids=["budget", "small-chunks"])
+    def test_report_equals_the_per_verdict_loop(self, monkeypatch, dims, n_systems, small_chunks):
+        if small_chunks:
+            # 3 systems of (3, 4) or 1 of (2, ..., 6) per chunk
+            monkeypatch.setattr(oracle, "TRIAL_CHUNK_BYTES", 60_000)
+        for seed in (1, 7, 2024):
+            report = oracle.equivalence_trials(n_systems, 5, seed, dims)
+            cases, disagreements, residual = looped_trials(n_systems, 5, seed, dims)
+            assert report.cases == cases == 5 * n_systems
+            assert report.disagreements == disagreements
+            assert report.max_polytope_residual.hex() == residual.hex()
+
+    def test_chunks_end_in_a_partial_one(self, monkeypatch):
+        sizes = []
+        solve_lps = oracle.simplex.solve_lps
+
+        def recording_solve_lps(c, *args, **kwargs):
+            sizes.append(c.shape)
+            return solve_lps(c, *args, **kwargs)
+
+        monkeypatch.setattr(oracle, "TRIAL_CHUNK_BYTES", 60_000)
+        monkeypatch.setattr(oracle.simplex, "solve_lps", recording_solve_lps)
+        oracle.equivalence_trials(10, 5, 3, (3, 4))
+        # chunks of 3 systems, alternating d = 3 and 4, both directions
+        assert sizes == [(20, 9), (10, 16), (10, 9), (20, 16), (20, 9), (10, 16), (10, 16)]
+
+    def test_lp_rows_match_the_model_bit_for_bit(self):
+        rng = np.random.default_rng(8100)
+        for d in (1, 2, 3, 4, 5, 6):
+            e = np.stack([random_energies(rng, d) for _ in range(30)])
+            p = rng.dirichlet(np.ones(d), 30)
+            beta = rng.uniform(-3.0, 3.0, 30)
+            beta[0] = 0.0
+            g, a_eq, b_eq, cost = oracle._lp_rows(e, p, beta)
+            for s in range(30):
+                lp = GibbsStochasticLP(p[s], e[s], beta[s])
+                for row, field in ((g, lp.gibbs), (a_eq, lp.a_eq), (b_eq, lp.b_eq), (cost, lp.cost)):
+                    assert row[s].tobytes() == field.tobytes()
+
+
 class TestCoolingProtocol:
     def test_boundary_bath_gives_zero_transfer(self):
         pair = single_copy_effective(QUBIT)

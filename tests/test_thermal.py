@@ -217,3 +217,15 @@ class TestQuantumSystem:
     def test_rejects_non_state(self):
         with pytest.raises(ValidationError):
             diag_system([0.0, 1.0], [0.7, 0.7])
+
+
+class TestGibbsRows:
+    def test_rows_match_the_one_ladder_weights_bit_for_bit(self):
+        rng = np.random.default_rng(77)
+        for d in (1, 2, 3, 5, 6, 9):
+            e = np.stack([random_energies(rng, d) for _ in range(40)])
+            beta = rng.uniform(-5.0, 5.0, 40)
+            beta[:3] = (0.0, -0.0, 1e-300)
+            rows = thermal._gibbs_rows(e, beta)
+            for s in range(40):
+                assert rows[s].tobytes() == thermal._gibbs_populations(e[s], beta[s]).tobytes()
