@@ -66,28 +66,44 @@ class JCConfig:
     def __post_init__(self):
         if self.fock_levels < 2:
             raise ValidationError("need at least 2 Fock levels")
+        if 2 * self.fock_levels > linalg.MAX_DIM:
+            cap = linalg.MAX_DIM // 2  # the joint cavity-atom space has 2 * fock_levels
+            raise ValidationError(f"fock_levels={self.fock_levels} exceeds the cap {cap}")
         for name in ("omega_a", "omega_r"):
             omega = getattr(self, name)
             if not math.isfinite(omega):
                 raise ValidationError(f"{name} must be finite, got {omega}")
+            if not math.isfinite(omega * (self.fock_levels - 1)):
+                raise ValidationError(f"{name}={omega} overflows the top Fock level")
             # a gap at or below the degeneracy tolerance leaves no distinct levels
             tol = linalg.energy_equal_tol(omega * np.arange(self.fock_levels))
             if not omega > tol:
                 raise ValidationError(
                     f"{name} must exceed the level-degeneracy tolerance {tol:.0e}, got {omega}"
                 )
+        if not math.isfinite(self.g):
+            raise ValidationError(f"g must be finite, got {self.g}")
         if abs(self.omega_a - self.omega_r) > 1e-12:
             raise ValidationError(
                 f"off-resonant drive: omega_a={self.omega_a} != omega_r={self.omega_r}"
             )
         if not (self.tau > 0):
             raise ValidationError("tau must be positive")
+        if not math.isfinite(self.tau):
+            raise ValidationError(f"tau must be finite, got {self.tau}")
         grid = self.time_grid
         if grid is None:
             grid = default_time_grid(t_max=max(30.0, self.tau))
         grid = np.asarray(grid, dtype=float)
         if grid.ndim != 1 or grid.size == 0:
             raise ValidationError("time_grid must be a non-empty 1-d array")
+        # |eigenvalues| of jc_hamiltonian are at most `top` (Gershgorin); the
+        # evolution multiplies them by every time, with 2x headroom for rounding
+        top = (self.omega_a + abs(self.g)) * (self.fock_levels - 1) + self.omega_r
+        t_max = max(float(np.abs(grid).max()), self.tau)  # NaN in the grid stays NaN
+        if not math.isfinite(2.0 * top * t_max):
+            raise ValidationError(f"tau={self.tau} and time_grid overflow the evolution "
+                                  f"phases: times up to {t_max:.3g}, energies up to {top:.3g}")
         object.__setattr__(self, "time_grid", grid)
 
     @property

@@ -14,6 +14,7 @@ with deterministic key order; non-finite floats are emitted as the strings
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -244,12 +245,11 @@ def cmd_jc(args) -> tuple[dict, list, str]:
         "steps": args.steps,
     }
     config = catalysis.JCConfig(
-        omega_a=args.omega,
-        omega_r=args.omega,
-        g=args.g,
-        fock_levels=args.fock,
-        tau=args.tau,
-        time_grid=catalysis.default_time_grid(args.steps, max(30.0, args.tau)),
+        omega_a=args.omega, omega_r=args.omega, g=args.g, fock_levels=args.fock, tau=args.tau
+    )
+    # the grid spans tau, so it is built once the config has vetted tau
+    config = dataclasses.replace(
+        config, time_grid=catalysis.default_time_grid(args.steps, max(30.0, args.tau))
     )
     cavity = catalysis.uniform_superposition_state(args.fock)
     solved = catalysis.solve_catalyst_fixed_point(config, cavity)
@@ -279,8 +279,10 @@ def cmd_jc(args) -> tuple[dict, list, str]:
 
 
 def cmd_qutrit_catalyst(args) -> tuple[dict, list, str]:
-    if args.sweep and args.copies:
+    if args.sweep and args.copies is not None:
         raise ValidationError("--sweep and --copies are mutually exclusive")
+    if args.copies is not None and args.copies < 1:
+        raise ValidationError(f"--copies must be at least 1, got {args.copies}")
     params = {"lambda": args.lam, "beta": args.beta}
     warnings: list[str] = []
 
@@ -300,7 +302,7 @@ def cmd_qutrit_catalyst(args) -> tuple[dict, list, str]:
             results["csv"] = args.out
         return results, warnings, _params_digest({**params, "sweep": True})
 
-    if args.copies:
+    if args.copies is not None:
         system = QuantumSystem(
             energies=catalysis.QUTRIT_ENERGIES, rho=catalysis.qutrit_state(args.lam, args.beta)
         )

@@ -20,7 +20,6 @@ cold value drops below the hot one (the usable temperature window shrinks).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
@@ -91,31 +90,27 @@ def _clean_populations(p: np.ndarray) -> np.ndarray:
     return np.where(p <= ZERO_POPULATION, 0.0, p)
 
 
-def _pair_beta(p_low: float, p_high: float, gap: float) -> float | None:
-    """beta across one pair; None when both populations vanish."""
-    if p_low == 0.0 and p_high == 0.0:
-        return None
-    if p_high == 0.0:
-        return math.inf
-    if p_low == 0.0:
-        return -math.inf
-    return math.log(p_low / p_high) / gap
+def _upper_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(i, j) index arrays of the pairs i < j in row-major order."""
+    levels = np.arange(d)
+    return np.nonzero(levels[:, None] < levels)
 
 
-def _spectrum_entries(e: np.ndarray, populations: np.ndarray) -> list[tuple[int, int, float]]:
-    """(i, j, beta_ij) over the level pairs with distinct energies."""
-    p = _clean_populations(populations)
-    tol = linalg.energy_equal_tol(e)
-    entries = []
-    for i in range(len(e)):
-        for j in range(i + 1, len(e)):
-            gap = e[j] - e[i]
-            if gap <= tol:
-                continue
-            beta = _pair_beta(p[i], p[j], gap)
-            if beta is not None:
-                entries.append((i, j, beta))
-    return entries
+def _pair_table(e: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(low, high, gap) of the level pairs with distinct energies, row-major.
+
+    The one enumeration of level pairs: a pair counts when its gap exceeds
+    `linalg.energy_equal_tol`, and `e` must be ascending.
+    """
+    low, high = _upper_pairs(e.size)
+    gap = e[high] - e[low]
+    distinct = gap > linalg.energy_equal_tol(e)
+    return low[distinct], high[distinct], gap[distinct]
+
+
+def _exact_betas(ratio: np.ndarray, gap: np.ndarray) -> np.ndarray:
+    """math.log(ratio) / gap entry by entry: the exact virtual temperatures."""
+    return np.array(list(map(math.log, ratio.tolist())), dtype=float) / gap
 
 
 def virtual_spectrum(system: QuantumSystem) -> VirtualTempSpectrum:
@@ -125,8 +120,18 @@ def virtual_spectrum(system: QuantumSystem) -> VirtualTempSpectrum:
     in the energy eigenbasis.  Degenerate pairs (equal energies) carry no
     virtual temperature and are excluded.
     """
-    entries = _spectrum_entries(system.energies, system.populations)
-    return VirtualTempSpectrum(entries=tuple(entries))
+    p = _clean_populations(system.populations)
+    low, high, gap = _pair_table(system.energies)
+    # the quotient extremal_pairs screens: an empty upper (lower) level gives
+    # inf (0), so beta = +inf (-inf); two empty levels give NaN, and are omitted
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = p[low] / p[high]
+    beta = np.where(ratio == 0.0, -math.inf, ratio)
+    finite = np.isfinite(beta)
+    beta[finite] = _exact_betas(ratio[finite], gap[finite])
+    kept = ~np.isnan(beta)
+    return VirtualTempSpectrum(
+        entries=tuple(zip(low[kept].tolist(), high[kept].tolist(), beta[kept].tolist())))
 
 
 # byte budget of one chunk of rows in extremal_pairs, which holds at most
@@ -151,14 +156,6 @@ PAIR_CHUNK_BYTES = 1 << 19
 SCREEN_ULPS = 64
 
 
-@functools.lru_cache(maxsize=64)
-def _upper_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """(i, j) index arrays of the pairs i < j in row-major order, read-only."""
-    low, high = np.triu_indices(d, 1)
-    low.flags.writeable = high.flags.writeable = False
-    return low, high
-
-
 def _exact_extreme(beta, chunk, low, high, gap, screened, reduce) -> np.ndarray:
     """Recompute with math.log every finite entry near a row's screened extreme.
 
@@ -171,7 +168,7 @@ def _exact_extreme(beta, chunk, low, high, gap, screened, reduce) -> np.ndarray:
     near = np.abs(dist, out=dist) <= width[:, None]
     rows, cols = np.nonzero(near)
     ratio = chunk[rows, low[cols]] / chunk[rows, high[cols]]
-    exact = np.array(list(map(math.log, ratio.tolist()))) / gap[cols]
+    exact = _exact_betas(ratio, gap[cols])
     out[rows] = exact
     reduce.at(out, rows, exact)
     return out
@@ -183,17 +180,14 @@ def extremal_pairs(energies: np.ndarray, populations: np.ndarray) -> np.ndarray:
     Returns an (S, 2) array equal bit for bit to the max and min of the
     `virtual_spectrum` entries of each row.  All pairs are screened at once
     with np.log; the entries within SCREEN_ULPS of each row's extremes are
-    recomputed with math.log, the function the spectrum uses.  Rows are
+    recomputed by `_exact_betas`, the spectrum's arithmetic.  Rows are
     processed in chunks of about PAIR_CHUNK_BYTES.
 
     Unchecked: `energies` must be ascending, each row a valid state's diagonal.
     """
     e = np.asarray(energies, dtype=float)
     p = _clean_populations(np.asarray(populations, dtype=float))
-    low, high = _upper_pairs(e.size)
-    gap = e[high] - e[low]
-    distinct = gap > linalg.energy_equal_tol(e)
-    low, high, gap = low[distinct], high[distinct], gap[distinct]
+    low, high, gap = _pair_table(e)
     if gap.size == 0:
         raise ValidationError(
             "effective temperatures are undefined: all energy levels are degenerate"
@@ -239,9 +233,10 @@ def _energy_groups(energies: np.ndarray, log_pops: np.ndarray, n: int):
 
     Products of populations and sums of energies depend only on the multiset
     of chosen levels, so enumerating multisets instead of all d**n indices is
-    exact and keeps n <= 6 cheap.  Returns a list of
-    (energy, max_log_p, min_log_p, has_zero) with max/min over the positive-
-    population multi-indices only (None when every one vanishes).
+    exact and keeps n <= 6 cheap.  Returns the arrays (energy, max_log_p,
+    min_log_p, has_zero), one entry per group in ascending energy, with
+    max/min over the positive-population multi-indices only (-inf/+inf when
+    every one vanishes).
     """
     raw = []
     for combo in combinations_with_replacement(range(len(energies)), n):
@@ -252,25 +247,18 @@ def _energy_groups(energies: np.ndarray, log_pops: np.ndarray, n: int):
             lsum += log_pops[idx]
         raw.append((esum, lsum))
     raw.sort(key=lambda t: t[0])
+    esum, lsum = map(np.array, zip(*raw))
     tol = _GROUP_RTOL * max(1.0, n * float(np.abs(energies).max()))
-    groups = []
-    cur_e = raw[0][0]
-    cur_max = cur_min = None
-    cur_zero = False
-    for esum, lsum in raw + [(math.inf, 0.0)]:
-        if esum - cur_e > tol:
-            groups.append((cur_e, cur_max, cur_min, cur_zero))
-            if math.isinf(esum):
-                break
-            cur_e, cur_max, cur_min, cur_zero = esum, None, None, False
-        if math.isinf(esum):
-            break
-        if lsum == -math.inf:
-            cur_zero = True
-        else:
-            cur_max = lsum if cur_max is None else max(cur_max, lsum)
-            cur_min = lsum if cur_min is None else min(cur_min, lsum)
-    return groups
+    # a group starts at the first sum more than tol above the group's first
+    starts, first = [], -math.inf
+    for k, s in enumerate(esum.tolist()):
+        if s - first > tol:
+            starts.append(k)
+            first = s
+    empty = lsum == -math.inf
+    return (esum[starts], np.maximum.reduceat(lsum, starts),
+            np.minimum.reduceat(np.where(empty, math.inf, lsum), starts),
+            np.logical_or.reduceat(empty, starts))
 
 
 def tensor_power_effective(system: QuantumSystem, n: int) -> EffectiveTempPair:
@@ -278,7 +266,8 @@ def tensor_power_effective(system: QuantumSystem, n: int) -> EffectiveTempPair:
 
     The spectrum of A^n pairs product populations p_{i1}...p_{in} with summed
     energies; the extremes are found from per-energy extremal populations
-    without materializing the d**n-dimensional state.
+    without materializing the d**n-dimensional state.  The pairs of energy
+    groups play the part of the level pairs of one copy.
     """
     if n < 1:
         raise ValidationError(f"copy count must be >= 1, got {n}")
@@ -291,34 +280,26 @@ def tensor_power_effective(system: QuantumSystem, n: int) -> EffectiveTempPair:
         )
     e = system.energies
     p = _clean_populations(system.populations)
-    with np.errstate(divide="ignore"):
-        logp = np.where(p > 0.0, np.log(np.where(p > 0.0, p, 1.0)), -math.inf)
-    groups = _energy_groups(e, logp, n)
-    if len(groups) < 2:
+    logp = np.where(p > 0.0, np.log(np.where(p > 0.0, p, 1.0)), -math.inf)
+    energy, top, bottom, has_zero = _energy_groups(e, logp, n)
+    if energy.size < 2:
         raise ValidationError(
             "effective temperatures are undefined: all energy levels are degenerate"
         )
-    beta_c = -math.inf
-    beta_h = math.inf
-    found = False
-    for a in range(len(groups)):
-        ea, max_a, min_a, zero_a = groups[a]
-        for b in range(a + 1, len(groups)):
-            eb, max_b, min_b, zero_b = groups[b]
-            gap = eb - ea
-            if max_a is not None and max_b is not None:
-                beta_c = max(beta_c, (max_a - min_b) / gap)
-                beta_h = min(beta_h, (min_a - max_b) / gap)
-                found = True
-            if max_a is not None and zero_b:
-                beta_c = math.inf
-                found = True
-            if zero_a and max_b is not None:
-                beta_h = -math.inf
-                found = True
-    if not found:
-        raise ValidationError("no populated level pair with distinct energies")
-    return EffectiveTempPair(beta_c=beta_c, beta_h=beta_h)
+    low, high = _upper_pairs(energy.size)
+    gap = energy[high] - energy[low]
+    populated = top > -math.inf
+    both = populated[low] & populated[high]
+    # without a pair of populated groups the starting -inf/+inf stand
+    beta_c = np.max((top[low] - bottom[high])[both] / gap[both], initial=-math.inf)
+    beta_h = np.min((bottom[low] - top[high])[both] / gap[both], initial=math.inf)
+    # a populated group below (above) one with an empty multi-index makes
+    # beta_c = +inf (beta_h = -inf)
+    if (populated[low] & has_zero[high]).any():
+        beta_c = math.inf
+    if (has_zero[low] & populated[high]).any():
+        beta_h = -math.inf
+    return EffectiveTempPair(beta_c=float(beta_c), beta_h=float(beta_h))
 
 
 @dataclass(frozen=True)

@@ -53,6 +53,26 @@ class TestJCHamiltonian:
         with pytest.raises(ValidationError):
             JCConfig(omega_a=1.0, omega_r=1.1)
 
+    def test_joint_dimension_over_the_dense_cap_rejected(self):
+        # 2 * 2048 = MAX_DIM is the largest joint space; the config is checked
+        # before any Hamiltonian or state is built
+        assert JCConfig(fock_levels=linalg.MAX_DIM // 2).fock_levels == linalg.MAX_DIM // 2
+        for fock in (linalg.MAX_DIM // 2 + 1, 100000):
+            with pytest.raises(ValidationError, match="fock_levels"):
+                JCConfig(fock_levels=fock)
+
+    @pytest.mark.parametrize("field,value", [
+        ("tau", math.inf), ("tau", 1e308), ("g", math.inf), ("g", -math.inf), ("g", math.nan),
+    ])
+    def test_non_finite_or_overflowing_inputs_rejected(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            JCConfig(**{field: value})
+
+    @pytest.mark.parametrize("t_end", [math.inf, math.nan, 1e308])
+    def test_time_grid_overflowing_the_phases_rejected(self, t_end):
+        with pytest.raises(ValidationError, match="time_grid"):
+            JCConfig(time_grid=np.array([0.0, t_end]))
+
 
 class TestFixedPoint:
     def test_zero_coupling_returns_maximally_mixed(self):

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -321,7 +322,7 @@ class TestJC:
         code, report = run_cli(capsys, "jc", "--fock", "1")
         assert code == 1
 
-    @pytest.mark.parametrize("omega", ["inf", "nan", "0", "-1", "1e-300"])
+    @pytest.mark.parametrize("omega", ["inf", "nan", "0", "-1", "1e-300", "1e308"])
     def test_bad_omega_exits_1_quietly(self, capsys, omega):
         # rejected by the config, before any numpy warning or solve
         with warnings.catch_warnings():
@@ -331,6 +332,19 @@ class TestJC:
         assert code == 1
         assert captured.err == ""
         assert "omega" in json.loads(captured.out)["error"]
+
+
+    @pytest.mark.parametrize("arg,field", [
+        ("--tau=inf", "tau"), ("--tau=1e308", "tau"), ("--g=inf", "g"), ("--g=-inf", "g"),
+    ])
+    def test_bad_tau_or_g_exits_1_quietly(self, capsys, arg, field):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["jc", arg, "--steps", "10"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == ""
+        assert re.search(rf"\b{field}\b", json.loads(captured.out)["error"])
 
 
 class TestQutritCatalyst:
@@ -381,6 +395,13 @@ class TestQutritCatalyst:
             capsys, "qutrit-catalyst", "--sweep", "--copies", "3"
         )
         assert code == 1
+
+    @pytest.mark.parametrize("copies", ["-1", "0"])
+    def test_copies_below_one_exits_1(self, capsys, copies):
+        code, report = run_cli(capsys, "qutrit-catalyst", f"--copies={copies}")
+        assert code == 1
+        assert "--copies" in report["error"]
+        assert "results" not in report
 
 
 class TestUsageAndEntryPoint:

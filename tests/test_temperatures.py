@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import diag_system, inject_coherences, random_energies
-from efftemp import temperatures
+from efftemp import linalg, temperatures
 from efftemp.linalg import BracketError, SolverError, ValidationError
 from efftemp.temperatures import (
     AsymptoticRequest,
@@ -122,9 +122,31 @@ class TestSingleCopy:
             assert pair.beta_h <= pair.beta_c
 
 
+def reference_entries(energies, populations):
+    """(i, j, beta_ij) by a per-pair math.log loop: the independent reference."""
+    e = np.asarray(energies, dtype=float)
+    p = np.asarray(populations, dtype=float)
+    p = np.where(p <= temperatures.ZERO_POPULATION, 0.0, p)
+    tol = linalg.energy_equal_tol(e)
+    entries = []
+    for i in range(len(e)):
+        for j in range(i + 1, len(e)):
+            gap = e[j] - e[i]
+            if gap <= tol or p[i] == p[j] == 0.0:
+                continue
+            if p[j] == 0.0:
+                beta = math.inf
+            elif p[i] == 0.0:
+                beta = -math.inf
+            else:
+                beta = math.log(p[i] / p[j]) / gap
+            entries.append((i, j, beta))
+    return entries
+
+
 def spectrum_extremes(energies, populations):
-    """Max and min of the entries of the scalar, per-pair math.log spectrum."""
-    betas = [b for _, _, b in temperatures._spectrum_entries(energies, populations)]
+    """Max and min of the entries of the reference spectrum."""
+    betas = [b for _, _, b in reference_entries(energies, populations)]
     return max(betas), min(betas)
 
 
@@ -143,9 +165,19 @@ def population_row(rng, energies, kind):
     return p
 
 
-class TestExtremalPairs:
-    KINDS = ("generic", "gibbs", "near_uniform", "empty")
+def ladder_energies(rng, dim, ladder):
+    energies = random_energies(rng, dim)
+    if ladder == "repeated":  # [0, 1], [0, 0, 1], [0, 0, 1, 1, 2], ...
+        energies = np.floor(np.linspace(0.0, dim / 2, dim))
+    elif ladder == "wide":  # gaps near 1e308: quotients reach subnormals
+        energies = energies / energies[-1] * 1.5e308
+    return energies
 
+
+KINDS = ("generic", "gibbs", "near_uniform", "empty")
+
+
+class TestExtremalPairs:
     @pytest.mark.parametrize("ladder", ["distinct", "repeated", "wide"])
     @pytest.mark.parametrize("dim", [2, 3, 5, 8, 16, 32, 64])
     def test_matches_scalar_spectrum_bit_for_bit(self, rng, monkeypatch, dim, ladder):
@@ -153,12 +185,8 @@ class TestExtremalPairs:
         # stack takes several chunks and ends in a partial one
         monkeypatch.setattr(temperatures, "PAIR_CHUNK_BYTES", 4096)
         size = 250 if dim < 16 else 41
-        energies = random_energies(rng, dim)
-        if ladder == "repeated":  # [0, 1], [0, 0, 1], [0, 0, 1, 1, 2], ...
-            energies = np.floor(np.linspace(0.0, dim / 2, dim))
-        elif ladder == "wide":  # gaps near 1e308: quotients reach subnormals
-            energies = energies / energies[-1] * 1.5e308
-        stack = np.array([population_row(rng, energies, self.KINDS[k % 4]) for k in range(size)])
+        energies = ladder_energies(rng, dim, ladder)
+        stack = np.array([population_row(rng, energies, KINDS[k % 4]) for k in range(size)])
         got = extremal_pairs(energies, stack)
         assert got.shape == (size, 2)
         for row, pair in zip(stack, got):
@@ -200,6 +228,83 @@ class TestExtremalPairs:
     def test_degenerate_ladder_rejected(self):
         with pytest.raises(ValidationError, match="degenerate"):
             extremal_pairs(np.ones(3), np.full((4, 3), 1 / 3))
+
+
+def hex_entries(entries):
+    return [(i, j, float(b).hex()) for i, j, b in entries]
+
+
+class TestSpectrumAgainstReference:
+    @pytest.mark.parametrize("ladder", ["distinct", "repeated", "wide"])
+    @pytest.mark.parametrize("dim", [2, 3, 5, 8, 16, 32, 64])
+    def test_bits_match_the_pair_loop(self, rng, dim, ladder):
+        energies = ladder_energies(rng, dim, ladder)
+        for k in range(40 if dim < 16 else 8):
+            p = population_row(rng, energies, KINDS[k % 4])
+            entries = virtual_spectrum(diag_system(energies, p)).entries
+            assert hex_entries(entries) == hex_entries(reference_entries(energies, p))
+            assert all(type(b) is float for _, _, b in entries)
+
+    @pytest.mark.parametrize("energies,populations", TestExtremalPairs.NEAR_TIES)
+    def test_near_tie_rows(self, energies, populations):
+        e = np.array([float.fromhex(x) for x in energies])
+        p = np.array([float.fromhex(x) for x in populations])
+        entries = virtual_spectrum(diag_system(e, p)).entries
+        assert hex_entries(entries) == hex_entries(reference_entries(e, p))
+
+    @pytest.mark.parametrize("populations", [[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.5, 0.5],
+                                             [0.5, 1e-16, 0.5 - 1e-16, 0.0]])
+    def test_empty_levels(self, populations):
+        energies = np.array([0.0, 0.4, 1.0, 1.7])
+        entries = virtual_spectrum(diag_system(energies, populations)).entries
+        assert hex_entries(entries) == hex_entries(reference_entries(energies, populations))
+
+
+def loop_tensor_extremes(system, n):
+    """(beta_c, beta_h) by the O(G^2) loop over pairs of energy groups: the reference."""
+    p = np.where(system.populations <= temperatures.ZERO_POPULATION, 0.0, system.populations)
+    with np.errstate(divide="ignore"):
+        logp = np.where(p > 0.0, np.log(np.where(p > 0.0, p, 1.0)), -math.inf)
+    energy, top, bottom, has_zero = temperatures._energy_groups(system.energies, logp, n)
+    beta_c, beta_h = -math.inf, math.inf
+    for a in range(len(energy)):
+        for b in range(a + 1, len(energy)):
+            gap = energy[b] - energy[a]
+            if top[a] > -math.inf and top[b] > -math.inf:
+                beta_c = max(beta_c, (top[a] - bottom[b]) / gap)
+                beta_h = min(beta_h, (bottom[a] - top[b]) / gap)
+            if top[a] > -math.inf and has_zero[b]:
+                beta_c = math.inf
+            if has_zero[a] and top[b] > -math.inf:
+                beta_h = -math.inf
+    return float(beta_c).hex(), float(beta_h).hex()
+
+
+class TestTensorPowerAgainstLoop:
+    @pytest.mark.parametrize("ladder", ["distinct", "repeated"])
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_bits_match_the_group_pair_loop(self, rng, dim, ladder):
+        energies = ladder_energies(rng, dim, ladder)
+        for k in range(8):
+            system = diag_system(energies, population_row(rng, energies, KINDS[k % 4]))
+            for n in range(1, 13 if dim <= 3 else 6):
+                pair = tensor_power_effective(system, n)
+                got = (float(pair.beta_c).hex(), float(pair.beta_h).hex())
+                assert got == loop_tensor_extremes(system, n)
+
+    @pytest.mark.parametrize("populations,expected", [
+        ([1.0, 0.0], (math.inf, math.inf)),
+        ([0.0, 1.0], (-math.inf, -math.inf)),
+    ])
+    def test_one_populated_level(self, populations, expected):
+        # no pair of populated groups: the empty group sets one side and the
+        # other keeps its starting value
+        system = diag_system([0.0, 1.0], populations)
+        for n in (1, 2, 3):
+            pair = tensor_power_effective(system, n)
+            assert (pair.beta_c, pair.beta_h) == expected
+            assert (float(pair.beta_c).hex(), float(pair.beta_h).hex()) == loop_tensor_extremes(
+                system, n)
 
 
 class TestTensorPower:
