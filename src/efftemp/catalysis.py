@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -40,28 +41,21 @@ TIME_SERIES_COLUMNS = (
 )
 
 
-def default_time_grid(steps: int = 600, t_max: float = 30.0) -> np.ndarray:
-    """Uniform grid of steps+1 samples over [0, t_max]."""
-    if steps < 1 or t_max <= 0:
-        raise ValidationError("need steps >= 1 and t_max > 0")
-    return np.linspace(0.0, t_max, steps + 1)
-
-
 @dataclass(frozen=True, eq=False)
 class JCConfig:
-    """Resonant Jaynes-Cummings configuration with a truncated cavity.
+    """Resonant Jaynes-Cummings model with a truncated cavity, and its time grid.
 
-    The cavity keeps `fock_levels` Fock states; resonance omega_a == omega_r
-    is required so that the coupling commutes with the total energy and the
-    evolution is a valid thermal-operation unitary.
+    Atom and cavity share the one frequency `omega`, so the coupling commutes
+    with the total energy and the evolution is a valid thermal-operation
+    unitary.  The cavity keeps `fock_levels` Fock states; the series samples
+    `steps + 1` times over [0, max(30, tau)].
     """
 
-    omega_a: float = 1.0
-    omega_r: float = 1.0
+    omega: float = 1.0
     g: float = 0.1
     fock_levels: int = 3
     tau: float = 28.5
-    time_grid: np.ndarray = field(default=None)
+    steps: int = 600
 
     def __post_init__(self):
         if self.fock_levels < 2:
@@ -69,50 +63,58 @@ class JCConfig:
         if 2 * self.fock_levels > linalg.MAX_DIM:
             cap = linalg.MAX_DIM // 2  # the joint cavity-atom space has 2 * fock_levels
             raise ValidationError(f"fock_levels={self.fock_levels} exceeds the cap {cap}")
-        for name in ("omega_a", "omega_r"):
-            omega = getattr(self, name)
-            if not math.isfinite(omega):
-                raise ValidationError(f"{name} must be finite, got {omega}")
-            if not math.isfinite(omega * (self.fock_levels - 1)):
-                raise ValidationError(f"{name}={omega} overflows the top Fock level")
-            # a gap at or below the degeneracy tolerance leaves no distinct levels
-            tol = linalg.energy_equal_tol(omega * np.arange(self.fock_levels))
-            if not omega > tol:
-                raise ValidationError(
-                    f"{name} must exceed the level-degeneracy tolerance {tol:.0e}, got {omega}"
-                )
+        if not math.isfinite(self.omega):
+            raise ValidationError(f"omega must be finite, got {self.omega}")
+        if not math.isfinite(self.omega * (self.fock_levels - 1)):
+            raise ValidationError(f"omega={self.omega} overflows the top Fock level")
+        # a gap at or below the degeneracy tolerance leaves no distinct levels
+        tol = linalg.energy_equal_tol(self.omega * np.arange(self.fock_levels))
+        if not self.omega > tol:
+            raise ValidationError(
+                f"omega must exceed the level-degeneracy tolerance {tol:.0e}, got {self.omega}"
+            )
         if not math.isfinite(self.g):
             raise ValidationError(f"g must be finite, got {self.g}")
-        if abs(self.omega_a - self.omega_r) > 1e-12:
-            raise ValidationError(
-                f"off-resonant drive: omega_a={self.omega_a} != omega_r={self.omega_r}"
-            )
         if not (self.tau > 0):
             raise ValidationError("tau must be positive")
         if not math.isfinite(self.tau):
             raise ValidationError(f"tau must be finite, got {self.tau}")
-        grid = self.time_grid
-        if grid is None:
-            grid = default_time_grid(t_max=max(30.0, self.tau))
-        grid = np.asarray(grid, dtype=float)
-        if grid.ndim != 1 or grid.size == 0:
-            raise ValidationError("time_grid must be a non-empty 1-d array")
         # |eigenvalues| of jc_hamiltonian are at most `top` (Gershgorin); the
         # evolution multiplies them by every time, with 2x headroom for rounding
-        top = (self.omega_a + abs(self.g)) * (self.fock_levels - 1) + self.omega_r
-        t_max = max(float(np.abs(grid).max()), self.tau)  # NaN in the grid stays NaN
+        top = (self.omega + abs(self.g)) * (self.fock_levels - 1) + self.omega
+        t_max = max(30.0, self.tau)
         if not math.isfinite(2.0 * top * t_max):
-            raise ValidationError(f"tau={self.tau} and time_grid overflow the evolution "
-                                  f"phases: times up to {t_max:.3g}, energies up to {top:.3g}")
-        object.__setattr__(self, "time_grid", grid)
+            raise ValidationError(f"the evolution phases overflow at tau={self.tau}: "
+                                  f"times up to {t_max:.3g}, energies up to {top:.3g}")
+        if not isinstance(self.steps, (int, np.integer)):
+            raise ValidationError(f"steps must be an integer, got {self.steps!r}")
+        if self.steps < 1:
+            raise ValidationError("need steps >= 1 and t_max > 0")
+        # the series holds (steps + 1) samples of the 2 * fock_levels joint
+        # levels; allow at most as many numbers as one dense matrix at the cap
+        cap = linalg.MAX_DIM ** 2 // (2 * self.fock_levels) - 1
+        if self.steps > cap:
+            raise ValidationError(
+                f"steps={self.steps} exceeds the cap {cap} for fock_levels={self.fock_levels}"
+            )
+
+    @property
+    def time_grid(self) -> np.ndarray:
+        """Uniform grid of steps + 1 samples over [0, max(30, tau)]."""
+        return np.linspace(0.0, max(30.0, self.tau), self.steps + 1)
+
+    @cached_property
+    def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending eigenvalues and eigenvectors of the Hamiltonian, computed once."""
+        return linalg.hermitian_eig(jc_hamiltonian(self))
 
     @property
     def cavity_energies(self) -> np.ndarray:
-        return self.omega_a * np.arange(self.fock_levels, dtype=float)
+        return self.omega * np.arange(self.fock_levels, dtype=float)
 
     @property
     def atom_energies(self) -> np.ndarray:
-        return np.array([0.0, self.omega_r])
+        return np.array([0.0, self.omega])
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,8 +151,8 @@ def jc_hamiltonian(config: JCConfig) -> np.ndarray:
     excited = np.diag([0.0, 1.0]).astype(complex)
     sigma_plus = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)  # |e><g|, basis (g, e)
     h = (
-        config.omega_a * np.kron(number, np.eye(2))
-        + config.omega_r * np.kron(np.eye(n), excited)
+        config.omega * np.kron(number, np.eye(2))
+        + config.omega * np.kron(np.eye(n), excited)
         + config.g * (np.kron(a, sigma_plus) + np.kron(a.conj().T, sigma_plus.conj().T))
     )
     return h
@@ -218,8 +220,8 @@ def fixed_point_averaged(apply_channel, dim: int, tol: float = FIXED_POINT_TOL) 
     raise SolverError(f"averaged fixed-point iteration missed tolerance {tol:.0e}")
 
 
-def channel_fixed_point(apply_channel, dim: int, tol: float = FIXED_POINT_TOL) -> np.ndarray:
-    """Density-matrix fixed point of a CPTP map.
+def channel_fixed_point(apply_channel, dim: int, tol: float = FIXED_POINT_TOL) -> CatalysisResult:
+    """Density-matrix fixed point of a CPTP map, with its return residual.
 
     Spectral solve first; averaged iteration from I/d on degeneracy.  The
     result is validated as a state: eigenvalues below -1e-9 abort, smaller
@@ -236,25 +238,24 @@ def channel_fixed_point(apply_channel, dim: int, tol: float = FIXED_POINT_TOL) -
         vals = np.maximum(vals, 0.0)
         x = (vecs * vals) @ vecs.conj().T
         x = x / np.trace(x).real
-    if linalg.trace_distance(apply_channel(x), x) > tol:
+    residual = linalg.trace_distance(apply_channel(x), x)
+    if residual > tol:
         raise SolverError(f"fixed point residual exceeds {tol:.0e}")
-    return x
+    return CatalysisResult(catalyst_state=x, fixed_point_residual=residual)
+
+
+def _frame_channel(u: np.ndarray, state: np.ndarray, dims: tuple[int, int]):
+    """X -> Tr_first[U (state (x) X) U^dag] on the second factor of `dims`."""
+
+    def apply(x: np.ndarray) -> np.ndarray:
+        joint = u @ linalg.tensor_product(state, x) @ u.conj().T
+        return linalg.partial_trace(joint, dims, keep="second")
+
+    return apply
 
 
 # ---------------------------------------------------------------------------
 # Jaynes-Cummings catalysis
-
-
-def _jc_channel(config: JCConfig, cavity_state: np.ndarray, t: float):
-    h = jc_hamiltonian(config)
-    u = linalg.unitary_evolution(h, t)
-    n = config.fock_levels
-
-    def apply(x: np.ndarray) -> np.ndarray:
-        joint = u @ linalg.tensor_product(cavity_state, x) @ u.conj().T
-        return linalg.partial_trace(joint, (n, 2), keep="second")
-
-    return apply
 
 
 def solve_catalyst_fixed_point(config: JCConfig, cavity_state) -> CatalysisResult:
@@ -262,10 +263,9 @@ def solve_catalyst_fixed_point(config: JCConfig, cavity_state) -> CatalysisResul
     rho_a = linalg.check_density_matrix(cavity_state, "cavity state")
     if rho_a.shape[0] != config.fock_levels:
         raise ValidationError("cavity state dimension != fock_levels")
-    apply = _jc_channel(config, rho_a, config.tau)
-    x = channel_fixed_point(apply, 2)
-    residual = linalg.trace_distance(apply(x), x)
-    return CatalysisResult(catalyst_state=x, fixed_point_residual=residual)
+    w, v = config.eigensystem
+    u = (v * np.exp(-1j * w * config.tau)) @ v.conj().T  # linalg.unitary_evolution's arithmetic
+    return channel_fixed_point(_frame_channel(u, rho_a, (config.fock_levels, 2)), 2)
 
 
 def _offdiag_l1(m: np.ndarray) -> np.ndarray:
@@ -291,8 +291,7 @@ def run_time_series(config: JCConfig, cavity_state, atom_state) -> TimeSeriesRes
     if rho_a.shape[0] != config.fock_levels or atom0.shape[0] != 2:
         raise ValidationError("state dimensions do not match the configuration")
     n = config.fock_levels
-    h = jc_hamiltonian(config)
-    w, v = linalg.hermitian_eig(h)
+    w, v = config.eigensystem
     joint0 = linalg.tensor_product(rho_a, atom0)
     joint0_v = v.conj().T @ joint0 @ v
     boundary_index = (n - 1) * 2 + 1
@@ -426,11 +425,5 @@ def tune_catalyst(setup: QutritCatalystSetup) -> np.ndarray:
     machinery as the Jaynes-Cummings fixed point.  For a diagonal rho_A the
     channel preserves diagonality, so the returned frame is diagonal.
     """
-    v = qutrit_block_unitary()
-    rho_a = setup.rho_a
-
-    def apply(x: np.ndarray) -> np.ndarray:
-        joint = v @ linalg.tensor_product(rho_a, x) @ v.conj().T
-        return linalg.partial_trace(joint, (3, 2), keep="second")
-
-    return channel_fixed_point(apply, 2)
+    apply = _frame_channel(qutrit_block_unitary(), setup.rho_a, (3, 2))
+    return channel_fixed_point(apply, 2).catalyst_state

@@ -14,7 +14,6 @@ with deterministic key order; non-finite floats are emitted as the strings
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import math
@@ -245,18 +244,13 @@ def cmd_jc(args) -> tuple[dict, list, str]:
         "steps": args.steps,
     }
     config = catalysis.JCConfig(
-        omega_a=args.omega, omega_r=args.omega, g=args.g, fock_levels=args.fock, tau=args.tau
-    )
-    # the grid spans tau, so it is built once the config has vetted tau
-    config = dataclasses.replace(
-        config, time_grid=catalysis.default_time_grid(args.steps, max(30.0, args.tau))
+        omega=args.omega, g=args.g, fock_levels=args.fock, tau=args.tau, steps=args.steps
     )
     cavity = catalysis.uniform_superposition_state(args.fock)
     solved = catalysis.solve_catalyst_fixed_point(config, cavity)
     series = catalysis.run_time_series(config, cavity, solved.catalyst_state)
-    grid = config.time_grid
-    k_tau = int(np.argmin(np.abs(grid - args.tau)))
     rows = series.time_series
+    k_tau = int(np.argmin(np.abs(rows[:, 0] - args.tau)))  # column 0 is the time grid
     results = {
         "fixed_point_residual": solved.fixed_point_residual,
         "catalyst_state": _matrix_fields(solved.catalyst_state),
@@ -278,6 +272,15 @@ def cmd_jc(args) -> tuple[dict, list, str]:
     return results, warnings, _params_digest(params)
 
 
+def _tuned_run(lam: float, beta: float):
+    """Tune the frame at (lam, beta), run the protocol: (run, frame, frame return error)."""
+    tuned = catalysis.tune_catalyst(catalysis.QutritCatalystSetup(lam=lam, beta=beta))
+    run = catalysis.qutrit_catalyst_protocol(
+        catalysis.QutritCatalystSetup(lam=lam, beta=beta, phi_r=tuned)
+    )
+    return run, tuned, float(np.abs(run.sigma_r - tuned).max())
+
+
 def cmd_qutrit_catalyst(args) -> tuple[dict, list, str]:
     if args.sweep and args.copies is not None:
         raise ValidationError("--sweep and --copies are mutually exclusive")
@@ -289,12 +292,7 @@ def cmd_qutrit_catalyst(args) -> tuple[dict, list, str]:
     if args.sweep:
         rows = []
         for lam in np.linspace(0.0, 1.0, SWEEP_GRID_POINTS):
-            setup = catalysis.QutritCatalystSetup(lam=float(lam), beta=args.beta)
-            tuned = catalysis.tune_catalyst(setup)
-            run = catalysis.qutrit_catalyst_protocol(
-                catalysis.QutritCatalystSetup(lam=float(lam), beta=args.beta, phi_r=tuned)
-            )
-            residual = float(np.abs(run.sigma_r - tuned).max())
+            run, _, residual = _tuned_run(float(lam), args.beta)
             rows.append((float(lam), run.temps.beta_c, run.temps.beta_h, residual))
         results = {"sweep": [list(r) for r in rows], "grid_points": SWEEP_GRID_POINTS}
         if args.out:
@@ -316,17 +314,13 @@ def cmd_qutrit_catalyst(args) -> tuple[dict, list, str]:
             results["csv"] = args.out
         return results, warnings, _params_digest({**params, "copies": args.copies})
 
-    setup = catalysis.QutritCatalystSetup(lam=args.lam, beta=args.beta)
-    tuned = catalysis.tune_catalyst(setup)
-    run = catalysis.qutrit_catalyst_protocol(
-        catalysis.QutritCatalystSetup(lam=args.lam, beta=args.beta, phi_r=tuned)
-    )
+    run, tuned, residual = _tuned_run(args.lam, args.beta)
     results = {
         "beta_c": run.temps.beta_c,
         "beta_h": run.temps.beta_h,
         "sigma_a": _matrix_fields(run.sigma_a),
         "catalyst": _matrix_fields(tuned),
-        "catalyst_residual": float(np.abs(run.sigma_r - tuned).max()),
+        "catalyst_residual": residual,
         "reference_frame_distance": float(
             np.abs(tuned - catalysis.reference_catalyst()).max()
         ),

@@ -60,7 +60,7 @@ def test_criterion_1_qutrit_catalyst_closed_form():
 
 def test_criterion_2_jaynes_cummings_anchors():
     start = time.perf_counter()
-    config = JCConfig(omega_a=1.0, omega_r=1.0, g=0.1, fock_levels=3, tau=28.5)
+    config = JCConfig(omega=1.0, g=0.1, fock_levels=3, tau=28.5)
     cavity = uniform_superposition_state(3)
     solved = solve_catalyst_fixed_point(config, cavity)
     series = run_time_series(config, cavity, solved.catalyst_state).time_series

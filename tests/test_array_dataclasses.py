@@ -21,7 +21,7 @@ FACTORIES = {
     "GibbsStochasticLP": _lp,
     "HeatOptimum": lambda: oracle.max_energy_gain(_lp()),
     "LPResult": lambda: simplex.solve_lp([1.0, 0.0], [[1.0, 1.0]], [1.0]),
-    "JCConfig": lambda: catalysis.JCConfig(time_grid=np.linspace(0.0, 1.0, 3)),
+    "JCConfig": lambda: catalysis.JCConfig(steps=2),
     "CatalysisResult": lambda: catalysis.CatalysisResult(np.eye(2) / 2, 0.0),
     "TimeSeriesResult": lambda: catalysis.TimeSeriesResult(np.zeros((2, 7)), 0.0),
     "QutritCatalystSetup": lambda: catalysis.QutritCatalystSetup(lam=0.5, beta=0.0),

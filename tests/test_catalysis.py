@@ -5,13 +5,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import random_density
-from efftemp import catalysis, linalg
+from efftemp import catalysis, cli, linalg
 from efftemp.catalysis import (
     CATALYST_ENERGIES,
     QUTRIT_ENERGIES,
     JCConfig,
     QutritCatalystSetup,
-    default_time_grid,
+    channel_fixed_point,
     excitation_number,
     fixed_point_averaged,
     fixed_point_eigen,
@@ -29,7 +29,7 @@ from efftemp.linalg import ValidationError
 from efftemp.temperatures import single_copy_effective, tensor_power_effective, virtual_spectrum
 from efftemp.thermal import QuantumSystem
 
-DEFAULT_CONFIG = JCConfig(omega_a=1.0, omega_r=1.0, g=0.1, fock_levels=3, tau=28.5)
+DEFAULT_CONFIG = JCConfig(omega=1.0, g=0.1, fock_levels=3, tau=28.5)
 ROTATED_QUTRIT_BETA = math.log(5 / 2 + 3 / math.sqrt(2))
 
 
@@ -49,10 +49,6 @@ class TestJCHamiltonian:
         n_exc = excitation_number(DEFAULT_CONFIG)
         assert np.abs(h @ n_exc - n_exc @ h).max() < 1e-12
 
-    def test_off_resonance_rejected(self):
-        with pytest.raises(ValidationError):
-            JCConfig(omega_a=1.0, omega_r=1.1)
-
     def test_joint_dimension_over_the_dense_cap_rejected(self):
         # 2 * 2048 = MAX_DIM is the largest joint space; the config is checked
         # before any Hamiltonian or state is built
@@ -68,10 +64,42 @@ class TestJCHamiltonian:
         with pytest.raises(ValidationError, match=field):
             JCConfig(**{field: value})
 
-    @pytest.mark.parametrize("t_end", [math.inf, math.nan, 1e308])
-    def test_time_grid_overflowing_the_phases_rejected(self, t_end):
-        with pytest.raises(ValidationError, match="time_grid"):
-            JCConfig(time_grid=np.array([0.0, t_end]))
+    @pytest.mark.parametrize("tau", [5.0, 28.5, 30.0, 45.0])
+    @pytest.mark.parametrize("steps", [1, 90, 600])
+    def test_time_grid_spans_the_longer_of_30_and_tau(self, tau, steps):
+        grid = JCConfig(tau=tau, steps=steps).time_grid
+        expected = np.linspace(0, max(30, tau), steps + 1)
+        assert [t.hex() for t in grid] == [t.hex() for t in expected]
+
+    def test_steps_capped_before_anything_is_allocated(self):
+        # (steps + 1) samples of 2 * fock_levels joint levels may hold at most
+        # MAX_DIM**2 numbers; the config rejects more without building a grid
+        for fock in (2, 3, 32):
+            cap = linalg.MAX_DIM ** 2 // (2 * fock) - 1
+            assert (cap + 1) * 2 * fock <= linalg.MAX_DIM ** 2 < (cap + 2) * 2 * fock
+            assert JCConfig(fock_levels=fock, steps=cap).steps == cap
+            for steps in (cap + 1, 100_000_000, 10 ** 30):
+                with pytest.raises(ValidationError, match="steps"):
+                    JCConfig(fock_levels=fock, steps=steps)
+
+    @pytest.mark.parametrize("steps", [0, -5])
+    def test_too_few_steps_rejected_after_tau(self, steps):
+        with pytest.raises(ValidationError, match=r"^need steps >= 1 and t_max > 0$"):
+            JCConfig(steps=steps)
+        with pytest.raises(ValidationError, match="tau"):
+            JCConfig(steps=steps, tau=math.inf)
+
+    def test_non_integer_steps_rejected(self):
+        with pytest.raises(ValidationError, match="steps"):
+            JCConfig(steps=2.5)
+
+
+def _atom_channel_at_tau(config: JCConfig):
+    """The atom channel at tau of a uniform cavity, built independently of the config's cache."""
+    u = linalg.unitary_evolution(jc_hamiltonian(config), config.tau)
+    return catalysis._frame_channel(
+        u, uniform_superposition_state(config.fock_levels), (config.fock_levels, 2)
+    )
 
 
 class TestFixedPoint:
@@ -89,13 +117,25 @@ class TestFixedPoint:
         assert np.trace(result.catalyst_state).real == pytest.approx(1.0, abs=1e-12)
 
     def test_eigen_and_averaged_solvers_agree(self):
-        apply = catalysis._jc_channel(
-            DEFAULT_CONFIG, uniform_superposition_state(3), DEFAULT_CONFIG.tau
-        )
+        apply = _atom_channel_at_tau(DEFAULT_CONFIG)
         x_eigen = fixed_point_eigen(apply, 2)
         x_eigen = x_eigen / np.trace(x_eigen).real
         x_avg = fixed_point_averaged(apply, 2, tol=1e-12)
         assert linalg.trace_distance(x_eigen, x_avg) <= 1e-8
+
+    @pytest.mark.parametrize("case", ["jc", "jc_g0", "qutrit"])
+    def test_returned_residual_is_the_last_check(self, case):
+        if case == "qutrit":
+            setup = QutritCatalystSetup(lam=0.8, beta=1.0)
+            apply = catalysis._frame_channel(qutrit_block_unitary(), setup.rho_a, (3, 2))
+        else:
+            apply = _atom_channel_at_tau(DEFAULT_CONFIG if case == "jc" else JCConfig(g=0.0))
+        if case == "jc_g0":
+            # a degenerate unit eigenvalue sends the solve down the averaged path
+            assert fixed_point_eigen(apply, 2) is None
+        result = channel_fixed_point(apply, 2)
+        x = result.catalyst_state
+        assert result.fixed_point_residual.hex() == linalg.trace_distance(apply(x), x).hex()
 
     def test_fixed_point_is_catalytic_at_tau(self):
         result = solve_catalyst_fixed_point(DEFAULT_CONFIG, uniform_superposition_state(3))
@@ -108,7 +148,7 @@ class TestFixedPoint:
 
 class TestTimeSeries:
     def test_zero_coupling_keeps_betas_constant(self, rng):
-        config = JCConfig(g=0.0, time_grid=default_time_grid(steps=40))
+        config = JCConfig(g=0.0, steps=40)
         cavity = random_density(rng, 3)
         atom = random_density(rng, 2)
         series = run_time_series(config, cavity, atom).time_series
@@ -121,7 +161,7 @@ class TestTimeSeries:
         # that reads each marginal through a validated QuantumSystem; at
         # fock 8 the grid spans several chunks and ends in a partial one
         steps = {3: 40, 8: 200, 32: 45}[fock]
-        config = JCConfig(fock_levels=fock, time_grid=default_time_grid(steps=steps))
+        config = JCConfig(fock_levels=fock, steps=steps)
         cavity = uniform_superposition_state(fock)
         atom = solve_catalyst_fixed_point(config, cavity).catalyst_state
         result = run_time_series(config, cavity, atom)
@@ -167,7 +207,7 @@ class TestTimeSeries:
         assert series[k_tau, 6] < series[0, 6]
 
     def test_excitation_sectors_conserved(self):
-        config = JCConfig(time_grid=default_time_grid(steps=60))
+        config = JCConfig(steps=60)
         cavity = uniform_superposition_state(3)
         atom = solve_catalyst_fixed_point(config, cavity).catalyst_state
         h = jc_hamiltonian(config)
@@ -191,7 +231,7 @@ class TestTimeSeries:
                     assert abs(value - reference[s]) <= 1e-10
 
     def test_joint_purity_constant(self):
-        config = JCConfig(time_grid=default_time_grid(steps=50))
+        config = JCConfig(steps=50)
         cavity = uniform_superposition_state(3)
         atom = reference_catalyst()
         h = jc_hamiltonian(config)
@@ -203,23 +243,31 @@ class TestTimeSeries:
             assert abs(float(np.trace(joint @ joint).real) - purity0) <= 1e-10
 
     def test_row_shape_and_grid(self):
-        config = JCConfig(time_grid=default_time_grid(steps=25))
+        config = JCConfig(steps=25)
         cavity = uniform_superposition_state(3)
         series = run_time_series(config, cavity, np.eye(2) / 2)
         assert series.time_series.shape == (26, 7)
         assert series.time_series[0, 0] == 0.0
         assert series.time_series[-1, 0] == pytest.approx(30.0)
 
-    def test_builds_the_hamiltonian_once(self, monkeypatch):
+    def test_builds_the_hamiltonian_once(self, monkeypatch, capsys):
         # the series evolves the grid only; the return at tau is the fixed
         # point's job, so no second channel is built for it
-        calls = []
-        build = catalysis.jc_hamiltonian
+        calls, eighs = [], []
+        build, eigh = catalysis.jc_hamiltonian, np.linalg.eigh
         monkeypatch.setattr(catalysis, "jc_hamiltonian", lambda c: calls.append(c) or build(c))
-        config = JCConfig(time_grid=default_time_grid(steps=10))
+        config = JCConfig(steps=10)
         series = run_time_series(config, uniform_superposition_state(3), np.eye(2) / 2)
         assert len(calls) == 1
         assert isinstance(series, catalysis.TimeSeriesResult)
+        # one jc command: one config, whose one eigensystem serves the fixed
+        # point and the series
+        calls.clear()
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: eighs.append(a) or eigh(a))
+        assert cli.main(["jc", "--steps", "10"]) == 0
+        capsys.readouterr()
+        assert len(calls) == 1
+        assert len(eighs) == 1
 
 
 class TestQutritBlockUnitary:

@@ -37,7 +37,7 @@ class TestHermitianEig:
         assert_allclose(w, [-1.0, 1.0], atol=1e-14)
 
     def test_jc_reconstruction(self):
-        h = jc_hamiltonian(JCConfig(omega_a=1.0, omega_r=1.0, g=0.1, fock_levels=3))
+        h = jc_hamiltonian(JCConfig(omega=1.0, g=0.1, fock_levels=3))
         w, v = linalg.hermitian_eig(h)
         assert np.abs((v * w) @ v.conj().T - h).max() < 1e-10
         assert np.all(np.diff(w) >= 0)
