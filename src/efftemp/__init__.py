@@ -41,6 +41,7 @@ from .oracle import (
     GibbsStochasticLP,
     HeatOptimum,
     HeatVerdict,
+    PolytopeOptimum,
     build_cooling_protocol,
     heat_sign_oracle,
     max_energy_gain,

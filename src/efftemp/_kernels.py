@@ -1,8 +1,9 @@
 """Two-phase dense simplex kernels with Bland's anti-cycling rule.
 
-This is the one hot loop in the package: the heat-flow oracle solves
-thousands of small LPs over the Gibbs-stochastic polytope, and interpreter
-overhead dominates at tableau sizes of a few hundred cells.
+They solve the reference LP over the Gibbs-stochastic polytope
+(`oracle.GibbsStochasticLP`) that the heat-sign oracle's vertex path is
+checked against; interpreter overhead dominates at tableau sizes of a few
+hundred cells.
 
 Solves   min c @ x   s.t.  A @ x = b,  x >= 0
 and returns a vertex optimum.  Status codes: 0 optimal, 1 infeasible,

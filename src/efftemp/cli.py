@@ -14,6 +14,7 @@ with deterministic key order; non-finite floats are emitted as the strings
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -341,7 +342,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use; parsing leaves it unchanged."""
     parser = _Parser(prog="efftemp", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -356,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--expansion", action="store_true", help="also report the small-delta expansion")
     p.add_argument("--kelvin", action="store_true")
 
-    p = sub.add_parser("oracle", help="LP heat-flow verdicts vs the closed form")
+    p = sub.add_parser("oracle", help="thermo-majorization heat-flow verdicts vs the closed form")
     p.add_argument("path")
     p.add_argument("--beta-bath", type=float, required=True, dest="beta_bath")
     p.add_argument("--random", type=int, help="run N random equivalence trials")

@@ -1,80 +1,58 @@
-"""Heat-flow verification over the Gibbs-stochastic polytope.
+"""Heat-flow verification on the thermo-majorization polytope.
 
 A bath at inverse temperature beta acting through any energy-conserving
-interaction moves the populations of a state by a column-stochastic matrix G
-that fixes the bath's Gibbs weight vector g (G @ g = g).  Maximizing the
-system's energy change lambda^T (G - 1) p over that polytope is a small
-linear program; its sign decides whether any thermometer at that bath
-temperature can be cooled or heated.  This module is the brute-force
-counterpart to the closed-form virtual-temperature predictions, plus the
-explicit two-level swap protocol that saturates the cooling bound.
+interaction moves the populations p of a state by a column-stochastic matrix
+G that fixes the bath's Gibbs weight vector g (G @ g = g).  The populations
+q = G p it can reach are those thermo-majorized by p (Ruch, Schranner &
+Seligman 1978; Horodecki & Oppenheim 2013), a polytope with one closed-form
+vertex per order of the levels (Lostaglio, Alhambra & Perry 2018).  The
+largest energy gain and loss over those vertices decide whether any
+thermometer at that bath temperature can be cooled or heated.  The linear
+program over G itself (`GibbsStochasticLP`, `max_energy_gain`) stays as the
+independent reference.  This module is the brute-force counterpart to the
+closed-form virtual-temperature predictions, plus the explicit two-level
+swap protocol that saturates the cooling bound.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import linalg, simplex, temperatures
 from .linalg import ValidationError
-from .thermal import QuantumSystem, _gibbs_rows, check_energy_levels
+from .thermal import QuantumSystem, _gibbs_populations, check_energy_levels
 
 ORACLE_DIM_CAP = 6
 SIGN_MARGIN = 1e-9       # numerical margin realizing strict heat-sign inequalities
 POLYTOPE_TOL = 1e-9
-# tableau bytes, both directions, of the systems `equivalence_trials` solves
-# in one chunk; the chunk's LP data and kernel temporaries take a few times
-# this, whatever the number of systems
+# bytes of one (S, d!, d) vertex array over the systems `equivalence_trials`
+# decides in one chunk, at the largest dimension; the chunk's other arrays
+# and temporaries take a few times this, whatever the number of systems
 TRIAL_CHUNK_BYTES = 1 << 20
 
 
-def _lp_rows(energies, populations, beta_bath):
-    """Gibbs weights and LP data of one model per row.
-
-    energies and populations are (S, d), beta_bath (S,); returns g (S, d),
-    a_eq (S, 2d, d^2), b_eq (S, 2d) and cost (S, d^2) in the layout of
-    `GibbsStochasticLP`, every entry 1.0, a copy of g[j] or e[i] * p[j].
-    """
-    S, d = populations.shape
-    g = _gibbs_rows(energies, beta_bath)
-    a_eq = np.zeros((S, 2 * d, d, d))  # a_eq[s, row, i, j] multiplies G[i, j]
-    k = np.arange(d)
-    a_eq[:, k, :, k] = 1.0
-    a_eq[:, d + k, k] = g[:, None, :]
-    b_eq = np.concatenate([np.ones((S, d)), g], axis=1)
-    cost = (energies[:, :, None] * populations[:, None, :]).reshape(S, d * d)
-    return g, a_eq.reshape(S, 2 * d, d * d), b_eq, cost
-
-
-def _checked_optima(energies, populations, gibbs, x, lp_values):
-    """Energy changes and polytope residuals of a stack of LP optima.
-
-    Row s holds one model's energies, populations and Gibbs weights, its
-    vertex x (d^2,) and the LP value cost @ x.  Each matrix G is re-checked
-    against the polytope and the objective to POLYTOPE_TOL; raises
-    SolverError for the first that fails.  Returns lambda^T (G - 1) p and
-    max(|1^T G - 1^T|, |G g - g|) per row.
-    """
-    S, d = populations.shape
-    G = x.reshape(S, d, d)
-    col_dev = np.abs(G.sum(axis=1) - 1.0).max(axis=1)
-    fix_dev = np.abs(np.matmul(G, gibbs[:, :, None])[:, :, 0] - gibbs).max(axis=1)
-    bad = np.flatnonzero(
-        (x.min(axis=1) < -POLYTOPE_TOL) | (col_dev > POLYTOPE_TOL) | (fix_dev > POLYTOPE_TOL)
-    )
-    if bad.size:
-        s = bad[0]
-        raise linalg.SolverError(
-            f"optimal matrix violates the polytope: cols {col_dev[s]:.2e}, fix {fix_dev[s]:.2e}"
-        )
-    before = np.matmul(energies[:, None, :], populations[:, :, None])[:, 0, 0]
-    after = np.matmul(energies[:, None, :], np.matmul(G, populations[:, :, None]))[:, 0, 0]
-    value = after - before
-    if np.any(np.abs(value - (lp_values - before)) > POLYTOPE_TOL):
-        raise linalg.SolverError("objective recomputation mismatch beyond 1e-9")
-    return value, np.maximum(col_dev, fix_dev)
+def _checked_model(energies, populations, beta_bath):
+    """Validated energies and populations, clamped at 0, of one oracle model."""
+    p = np.asarray(populations, dtype=float)
+    e = check_energy_levels(energies)
+    d = e.size
+    if d > ORACLE_DIM_CAP:
+        raise ValidationError(f"oracle dimension cap is {ORACLE_DIM_CAP}, got {d}")
+    if p.ndim != 1 or p.size != d:
+        raise ValidationError("populations must match the energy ladder")
+    if not (p.min() >= -1e-12 and abs(p.sum() - 1.0) <= 1e-10):  # NaN fails
+        raise ValidationError("populations must be a probability vector (1e-10)")
+    if not math.isfinite(beta_bath):
+        raise ValidationError("bath inverse temperature must be finite")
+    if not math.isfinite(float(e[-1]) - float(e[0])):
+        raise ValidationError("the energy span must be finite")
+    return e, np.maximum(p, 0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,7 +63,6 @@ class GibbsStochasticLP:
     and the LP data in the layout G[i, j] -> x[i*d + j]: rows j < d are the
     column sums, rows d + i the fixed-vector condition (one row is
     redundant, which the solver tolerates), and cost[i*d + j] = e_i p_j.
-    The data are the one-row case of `_lp_rows`.
     """
 
     populations: np.ndarray
@@ -97,25 +74,19 @@ class GibbsStochasticLP:
     cost: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        p = np.asarray(self.populations, dtype=float)
-        e = check_energy_levels(self.energies)
+        e, p = _checked_model(self.energies, self.populations, self.beta_bath)
         d = e.size
-        if d > ORACLE_DIM_CAP:
-            raise ValidationError(f"oracle dimension cap is {ORACLE_DIM_CAP}, got {d}")
-        if p.ndim != 1 or p.size != d:
-            raise ValidationError("populations must match the energy ladder")
-        if not (p.min() >= -1e-12 and abs(p.sum() - 1.0) <= 1e-10):  # NaN fails
-            raise ValidationError("populations must be a probability vector (1e-10)")
-        if not math.isfinite(self.beta_bath):
-            raise ValidationError("bath inverse temperature must be finite")
-        p = np.maximum(p, 0.0)
-        g, a_eq, b_eq, cost = _lp_rows(e[None], p[None], np.array([float(self.beta_bath)]))
+        g = _gibbs_populations(e, float(self.beta_bath))
+        a_eq = np.zeros((2 * d, d, d))  # a_eq[row, i, j] multiplies G[i, j]
+        k = np.arange(d)
+        a_eq[k, :, k] = 1.0
+        a_eq[d + k, k] = g
         object.__setattr__(self, "populations", p)
         object.__setattr__(self, "energies", e)
-        object.__setattr__(self, "gibbs", g[0])
-        object.__setattr__(self, "a_eq", a_eq[0])
-        object.__setattr__(self, "b_eq", b_eq[0])
-        object.__setattr__(self, "cost", cost[0])
+        object.__setattr__(self, "gibbs", g)
+        object.__setattr__(self, "a_eq", a_eq.reshape(2 * d, d * d))
+        object.__setattr__(self, "b_eq", np.concatenate([np.ones(d), g]))
+        object.__setattr__(self, "cost", (e[:, None] * p[None, :]).ravel())
 
     @property
     def dim(self) -> int:
@@ -123,7 +94,7 @@ class GibbsStochasticLP:
 
 
 @dataclass(frozen=True, eq=False)
-class HeatOptimum:
+class PolytopeOptimum:
     """LP optimum of lambda^T (G - 1) p with its certifying matrix.
 
     `residual` is the matrix's largest deviation from the polytope's
@@ -135,9 +106,25 @@ class HeatOptimum:
     residual: float
 
 
+@dataclass(frozen=True, eq=False)
+class HeatOptimum:
+    """Extreme energy change e . (q - p) over the populations q thermo-majorized by p.
+
+    `vertex` is the optimal q, and `residual` its certificate: the largest
+    of |sum q - 1|, the most negative entry of q, and the height by which
+    q's thermo-majorization curve rises above p's, checked to be <= 1e-9.
+    `thermomajorization_extremes` returns the fields of a stack of rows,
+    (S,), (S, d) and (S,); a verdict holds one row.
+    """
+
+    value: float
+    vertex: np.ndarray
+    residual: float
+
+
 @dataclass(frozen=True)
 class HeatVerdict:
-    """Heat-sign verdicts at one bath temperature with the two LP optima.
+    """Heat-sign verdicts at one bath temperature with the two optima.
 
     gain maximizes and loss minimizes the system's energy change; can_cool
     is gain > SIGN_MARGIN and can_heat is loss < -SIGN_MARGIN.
@@ -168,20 +155,158 @@ class CoolingProtocol:
     beta_max: float
 
 
-def max_energy_gain(lp: GibbsStochasticLP, maximize: bool = True) -> HeatOptimum:
+def max_energy_gain(lp: GibbsStochasticLP, maximize: bool = True) -> PolytopeOptimum:
     """Maximize (or minimize) the system energy change over the polytope.
 
     Variables are the d^2 entries of G.  The returned matrix is re-checked
     against the polytope and the objective to 1e-9.
     """
     result = simplex.solve_lp(lp.cost, a_eq=lp.a_eq, b_eq=lp.b_eq, maximize=maximize)
-    value, residual = _checked_optima(
-        lp.energies[None], lp.populations[None], lp.gibbs[None], result.x[None],
-        np.array([result.value]),
+    G = result.x.reshape(lp.dim, lp.dim)
+    g, p, e = lp.gibbs, lp.populations, lp.energies
+    residual = max(float(np.abs(G.sum(axis=0) - 1.0).max()), float(np.abs(G @ g - g).max()))
+    if result.x.min() < -POLYTOPE_TOL or residual > POLYTOPE_TOL:
+        raise linalg.SolverError(f"optimal matrix violates the polytope by {residual:.2e}")
+    before = float(e @ p)
+    value = float(e @ (G @ p)) - before
+    if abs(value - (result.value - before)) > POLYTOPE_TOL:
+        raise linalg.SolverError("objective recomputation mismatch beyond 1e-9")
+    return PolytopeOptimum(value=value, matrix=G, residual=residual)
+
+
+class _LevelTables(NamedTuple):
+    """Index tables over d levels; a subset of levels is a bitmask T < 2^d."""
+
+    orders: np.ndarray    # (d!, d) every order of the levels
+    prefixes: np.ndarray  # (d!, d + 1) the subset of the first k levels of each order
+    joins: np.ndarray     # (d!, d) T * d + i where the k-th level i joins the T before it
+    members: np.ndarray   # (2^d, d) the levels in each subset
+    heaviest: np.ndarray  # (2, 2^d) each subset's lowest and highest level, 0 if empty
+    without: np.ndarray   # (2^d, d) each subset with level i removed
+    lower: np.ndarray     # (d, d) the level pairs a < b
+
+
+@functools.cache
+def _level_tables(d: int) -> _LevelTables:
+    """The index tables of d levels, built on first use of each d."""
+    orders = np.array(list(itertools.permutations(range(d))), dtype=np.intp).reshape(-1, d)
+    prefixes = np.zeros((orders.shape[0], d + 1), dtype=np.intp)
+    np.cumsum(1 << orders, axis=1, out=prefixes[:, 1:])
+    subsets = np.arange(1 << d)
+    members = ((subsets[:, None] >> np.arange(d)) & 1).astype(bool)
+    return _LevelTables(
+        orders=orders,
+        prefixes=prefixes,
+        joins=prefixes[:, 1:] * d + orders,
+        members=members,
+        heaviest=np.stack([members.argmax(axis=1), d - 1 - members[:, ::-1].argmax(axis=1)]),
+        without=subsets[:, None] & ~(1 << np.arange(d)),
+        lower=np.triu(np.ones((d, d), dtype=bool), 1),
     )
-    return HeatOptimum(
-        value=float(value[0]), matrix=result.x.reshape(lp.dim, lp.dim), residual=float(residual[0])
+
+
+def _beta_order(p, rel, lower):
+    """Levels of each row in descending log p_i + beta e_i: p's beta-order.
+
+    p is (..., S, d) and rel[s, a, b] is beta (e_a - e_b), +/-inf where it
+    overflows, so two keys are compared by their difference and no weight
+    or quotient can underflow.  Empty levels come last, and ties go to the
+    lower level.
+    """
+    occupied = p > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logp = np.log(p)
+        ahead = (logp[..., :, None] - logp[..., None, :]) + rel
+    both = occupied[..., :, None] & occupied[..., None, :]
+    ahead = np.where(both, ahead, occupied[..., :, None] * 1.0 - occupied[..., None, :])
+    before = (ahead > 0.0) | ((ahead == 0.0) & lower)
+    return np.argsort(before.sum(axis=-2), axis=-1, kind="stable")
+
+
+def _curve_table(p, weight, order, beta, tables):
+    """p's thermo-majorization curve at the Gibbs weight of every subset of levels.
+
+    table[s, T] is the curve of row s, whose segments are p's levels in
+    beta-order `order`, at the summed Gibbs weight of the levels in T.
+    Each subset is measured in the weights relative to its heaviest level,
+    weight[s, j, i] = exp(-beta (e_i - e_j)), so its own weight is at least
+    1.  A level whose relative weight underflows to 0 is then a zero-width
+    segment that lies wholly below the point, and no zero width is ever a
+    divisor.  Where T is a prefix of the beta-order the table holds the
+    cumulative population exactly.
+    """
+    S, d = p.shape
+    rows = np.arange(S)[:, None]
+    widths = weight[rows[:, :, None], np.arange(d)[:, None], order[:, None, :]]  # (S, scale, d)
+    corners = np.zeros((S, d, d + 1))
+    np.cumsum(widths, axis=2, out=corners[:, :, 1:])
+    heights = p[rows, order]
+    climbed = np.zeros((S, d + 1))
+    np.cumsum(heights, axis=1, out=climbed[:, 1:])
+    scale = tables.heaviest[(beta < 0.0).astype(np.intp)]  # (S, 2^d)
+    x = np.where(tables.members, weight[rows, scale], 0.0).sum(axis=2)
+    xs = corners[rows, scale]
+    # the last corner at or below x, and the segment that starts there
+    m = (xs <= x[:, :, None]).sum(axis=2) - 1
+    seg = np.minimum(m, d - 1)
+    width = np.where(m < d, widths[rows, scale, seg], np.inf)
+    fraction = np.minimum((x - xs[rows, np.arange(x.shape[1]), m]) / width, 1.0)
+    table = climbed[rows, m] + heights[rows, seg] * fraction
+    table[:, 0] = 0.0
+    table[rows, np.cumsum(1 << order, axis=1)] = climbed[:, 1:]
+    return table
+
+
+def thermomajorization_extremes(energies, populations, beta_bath):
+    """Largest energy gain and loss over the populations thermo-majorized by p.
+
+    energies (S, d) ascending and populations (S, d) non-negative, one
+    model per row, are validated by the caller; beta_bath (S,) is finite.
+    Every vertex of a row's polytope is the curve's rise along one order of
+    the levels, so the optima are the best and worst of d! closed-form
+    points.  Returns (gain, loss), `HeatOptimum`s whose fields are stacked
+    over the rows: gain.value is max e . (q - p) and loss.value the
+    minimum, each with its vertex q and certificate residual.  Raises
+    SolverError if a residual exceeds POLYTOPE_TOL.
+    """
+    e = np.asarray(energies, dtype=float)
+    p = np.asarray(populations, dtype=float)
+    beta = np.asarray(beta_bath, dtype=float)
+    S, d = p.shape
+    tables = _level_tables(d)
+    with np.errstate(over="ignore"):
+        # rel[s, j, i] = -beta (e_i - e_j): the log Gibbs weight of level i
+        # relative to level j, +/-inf where the product overflows
+        rel = -(beta[:, None, None] * (e[:, None, :] - e[:, :, None]))
+        weight = np.exp(rel)
+    order = _beta_order(p, rel, tables.lower)
+    table = _curve_table(p, weight, order, beta, tables)
+    rows = np.arange(S)[:, None]
+    shifted = e - e[:, :1]
+    # energy of the rise when level i joins the levels T \ {i} ahead of it
+    steps = shifted[:, None, :] * (table[:, :, None] - table[:, tables.without])
+    energy = steps.reshape(S, -1)[:, tables.joins].sum(axis=2)  # (S, d!)
+    # the gain's and the loss's order per row; q along an order is the
+    # curve's rise over each level's Gibbs weight
+    pick = np.stack([energy.argmax(axis=1), energy.argmin(axis=1)])  # (2, S)
+    climb = table[rows, tables.prefixes[pick]]  # (2, S, d + 1)
+    q = np.empty((2, S, d))
+    q[np.arange(2)[:, None, None], rows, tables.orders[pick]] = np.diff(climb, axis=2)
+    # the certificate: q's own curve may not rise above p's
+    own = _beta_order(q, rel, tables.lower)
+    rise = np.cumsum(np.take_along_axis(q, own, axis=2), axis=2) - table[
+        rows, np.cumsum(1 << own, axis=2)
+    ]
+    residual = np.maximum(
+        np.maximum(np.abs(q.sum(axis=2) - 1.0), -q.min(axis=2)),
+        np.maximum(rise.max(axis=2), 0.0),
     )
+    if np.any(residual > POLYTOPE_TOL):
+        raise linalg.SolverError(
+            f"optimal vertex violates thermo-majorization by {float(residual.max()):.2e}"
+        )
+    value = ((q - p) * shifted).sum(axis=2)
+    return tuple(HeatOptimum(value=value[k], vertex=q[k], residual=residual[k]) for k in (0, 1))
 
 
 def heat_sign_oracle(system: QuantumSystem, beta_bath: float) -> HeatVerdict:
@@ -189,14 +314,15 @@ def heat_sign_oracle(system: QuantumSystem, beta_bath: float) -> HeatVerdict:
 
     can_cool: some thermometer at beta_bath loses energy, i.e. the system
     can gain energy under a Gibbs-stochastic map; can_heat symmetrically.
-    Strict inequalities are realized with a 1e-9 margin, since the simplex
-    returns exact vertices up to float noise.  One LP model is solved in
-    both directions, and the two optima that decide the verdicts are
-    returned with them.
+    Strict inequalities are realized with a 1e-9 margin, since the
+    vertices are exact up to float noise.  The model is validated once,
+    and the two optima that decide the verdicts are returned with them.
     """
-    lp = GibbsStochasticLP(system.populations, system.energies, beta_bath)
-    gain = max_energy_gain(lp, maximize=True)
-    loss = max_energy_gain(lp, maximize=False)
+    e, p = _checked_model(system.energies, system.populations, beta_bath)
+    gain, loss = (
+        HeatOptimum(value=float(o.value[0]), vertex=o.vertex[0], residual=float(o.residual[0]))
+        for o in thermomajorization_extremes(e[None], p[None], np.array([float(beta_bath)]))
+    )
     return HeatVerdict(
         can_cool=bool(gain.value > SIGN_MARGIN),
         can_heat=bool(loss.value < -SIGN_MARGIN),
@@ -311,21 +437,20 @@ def equivalence_trials(
     seed: int,
     dims: tuple[int, ...] = (3, 4),
 ) -> EquivalenceReport:
-    """Compare LP heat-sign verdicts with the virtual-temperature prediction.
+    """Compare heat-sign verdicts with the virtual-temperature prediction.
 
     For each random diagonal system and bath temperature the oracle verdict
     must match `predicted_verdicts`: cooling possible iff the bath is strictly
     hotter than beta_c, heating possible iff strictly colder than beta_h.
 
-    The verdicts are those of `heat_sign_oracle`, bit for bit, but solved in
-    stacks: systems are drawn in chunks of about TRIAL_CHUNK_BYTES of
-    tableaux, and each dimension of a chunk is one `simplex.solve_lps` call
-    over all its baths, maximized and minimized.
+    The verdicts are those of `heat_sign_oracle`, bit for bit, but decided
+    in stacks: systems are drawn in chunks of about TRIAL_CHUNK_BYTES of
+    vertex arrays, and each dimension of a chunk is one
+    `thermomajorization_extremes` call over all its baths.
     """
     rng = np.random.default_rng(seed)
-    # two (m + 1) x (n + m + 1) tableaux per bath at the largest dimension
-    m, n = 2 * max(dims), max(dims) ** 2
-    system_bytes = 2 * baths_per_system * 8 * (m + 1) * (n + m + 1)
+    d_max = max(dims)
+    system_bytes = baths_per_system * math.factorial(d_max) * d_max * 8
     chunk = max(1, TRIAL_CHUNK_BYTES // max(1, system_bytes))
     disagreements = 0
     cases = 0
@@ -342,25 +467,20 @@ def equivalence_trials(
                 continue
             if d > ORACLE_DIM_CAP:
                 raise ValidationError(f"oracle dimension cap is {ORACLE_DIM_CAP}, got {d}")
-            size = len(group) * baths_per_system
             e = np.repeat([system.energies for system, _ in group], baths_per_system, axis=0)
             p = np.repeat([system.populations for system, _ in group], baths_per_system, axis=0)
             beta = np.array([b for _, baths in group for b in baths])
-            # rows [0, size) maximize and rows [size, 2 size) minimize the same models
-            e, p, beta = (np.concatenate([a, a]) for a in (e, np.maximum(p, 0.0), beta))
-            g, a_eq, b_eq, cost = _lp_rows(e, p, beta)
-            lp_values, x = simplex.solve_lps(cost, a_eq, b_eq, maximize=np.arange(2 * size) < size)
-            values, residuals = _checked_optima(e, p, g, x, lp_values)
-            residual = max(residual, float(residuals.max()))
-            can_cool = (values[:size] > SIGN_MARGIN).tolist()
-            can_heat = (values[size:] < -SIGN_MARGIN).tolist()
+            gain, loss = thermomajorization_extremes(e, np.maximum(p, 0.0), beta)
+            residual = max(residual, float(gain.residual.max()), float(loss.residual.max()))
+            can_cool = (gain.value > SIGN_MARGIN).tolist()
+            can_heat = (loss.value < -SIGN_MARGIN).tolist()
             verdicts = iter(zip(can_cool, can_heat))
             for system, baths in group:
                 pair = temperatures.single_copy_effective(system)
                 for beta_bath in baths:
                     if next(verdicts) != predicted_verdicts(pair, beta_bath):
                         disagreements += 1
-            cases += size
+            cases += beta.size
     return EquivalenceReport(
         cases=cases, disagreements=disagreements, max_polytope_residual=residual
     )

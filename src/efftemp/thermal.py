@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +30,7 @@ def check_energy_levels(energies) -> np.ndarray:
         raise ValidationError("energies must be a non-empty 1-d list")
     if not np.all(np.isfinite(e)):
         raise ValidationError("energies must be finite")
-    if np.any(np.diff(e) < 0):
+    if np.any(e[1:] < e[:-1]):  # np.diff could overflow
         raise ValidationError("energies must be sorted in ascending order")
     if e.size > linalg.MAX_DIM:
         raise ValidationError(f"spectrum size {e.size} exceeds the dense cap {linalg.MAX_DIM}")
@@ -92,7 +93,8 @@ def gibbs_populations(energies, beta: float) -> np.ndarray:
 
     The exponent is shifted by min(beta * e_i) before exponentiating so the
     largest weight is exactly 1.  beta = +inf (-inf) puts uniform weight on
-    the ground (top) degenerate subspace.
+    the ground (top) degenerate subspace.  Where beta * e_i overflows to
+    +inf that weight is 0; where it overflows to -inf, ValidationError.
     """
     return _gibbs_populations(check_energy_levels(energies), beta)
 
@@ -103,21 +105,18 @@ def _gibbs_populations(e: np.ndarray, beta: float) -> np.ndarray:
         edge = e.min() if beta > 0 else e.max()
         mask = np.abs(e - edge) <= linalg.energy_equal_tol(e)
         return mask / mask.sum()
-    t = beta * e
+    # beta * e can overflow only where |beta| max|e| does (Python floats do not warn)
+    if abs(float(beta)) * max(-float(e[0]), float(e[-1])) <= sys.float_info.max:
+        t = beta * e
+    else:
+        with np.errstate(over="ignore"):
+            t = beta * e
+        # a level at t = +inf gets weight exp(-inf) = 0, the exact limit, but
+        # one at t = -inf leaves no finite reference: inf - inf is NaN
+        if t[0] == -math.inf or t[-1] == -math.inf:
+            raise ValidationError(f"beta * energy overflows to -inf at beta = {beta!r}")
     w = np.exp(-(t - t.min()))
     return w / w.sum()
-
-
-def _gibbs_rows(e: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """`_gibbs_populations` of each row of (S, d) ladders at its finite beta (S,).
-
-    The same arithmetic per row, so the same bits.  Kept apart from
-    `_gibbs_populations`, whose scalar callers (the bisection in
-    `gibbs_by_energy`) would pay for the axis arguments on every step.
-    """
-    t = beta[:, None] * e
-    w = np.exp(-(t - t.min(axis=1, keepdims=True)))
-    return w / w.sum(axis=1, keepdims=True)
 
 
 def _result_from_populations(e: np.ndarray, beta: float, p: np.ndarray) -> GibbsSolveResult:

@@ -19,7 +19,8 @@ FACTORIES = {
     "QuantumSystem": lambda: diag_system([0.0, 1.0], [0.5, 0.5]),
     "GibbsSolveResult": lambda: thermal.gibbs_by_beta([0.0, 1.0], 0.5),
     "GibbsStochasticLP": _lp,
-    "HeatOptimum": lambda: oracle.max_energy_gain(_lp()),
+    "HeatOptimum": lambda: oracle.heat_sign_oracle(diag_system([0.0, 1.0], [0.6, 0.4]), 0.5).gain,
+    "PolytopeOptimum": lambda: oracle.max_energy_gain(_lp()),
     "LPResult": lambda: simplex.solve_lp([1.0, 0.0], [[1.0, 1.0]], [1.0]),
     "JCConfig": lambda: catalysis.JCConfig(steps=2),
     "CatalysisResult": lambda: catalysis.CatalysisResult(np.eye(2) / 2, 0.0),

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import random_density
-from efftemp.cli import main
+from efftemp.cli import build_parser, main
 from efftemp.thermal import gibbs_by_beta, gibbs_populations
 
 ROTATED_QUTRIT_DIAG = ((4 + math.sqrt(2)) / 12, (4 - 2 * math.sqrt(2)) / 12, (4 + math.sqrt(2)) / 12)
@@ -278,6 +278,23 @@ class TestOracle:
             "max_polytope_residual": 0.0,
         }
 
+    @pytest.mark.parametrize("beta_bath", ["30", "-30", "800", "-800", "1e308", "-1e308"])
+    def test_cold_and_hot_baths_agree_quietly(self, capsys, tmp_path, beta_bath):
+        # beta_c = log(5/3), beta_h = log(3/2): a cold bath can only be
+        # heated by the state, a hot one only cooled
+        path = write_json(
+            tmp_path / "pinned.json", {"energies": [0, 1, 2], "populations": [0.5, 0.3, 0.2]}
+        )
+        code = main(["oracle", path, f"--beta-bath={beta_bath}"])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        r = json.loads(captured.out)["results"]
+        cold = float(beta_bath) > 0
+        assert (r["can_cool"], r["can_heat"]) == (not cold, cold)
+        assert r["agreement"] is True
+        assert r["max_energy_gain"] == pytest.approx(0.0 if cold else 1.3, abs=1e-12)
+        assert r["max_energy_loss"] == pytest.approx(0.7 if cold else 0.0, abs=1e-12)
+
     def test_dimension_cap_exits_1(self, capsys, tmp_path):
         path = write_json(
             tmp_path / "big.json",
@@ -396,6 +413,23 @@ class TestQutritCatalyst:
         )
         assert code == 1
 
+    def test_overflowing_beta_is_quiet_and_exact(self, capsys):
+        # beta * e overflows to +inf on the top level: its weight is 0, as at
+        # any beta past exp's range, so the results are those of beta = 1e300
+        reports = []
+        for beta in ("1e308", "1e300"):
+            code = main(["qutrit-catalyst", "--lambda", "0.5", f"--beta={beta}"])
+            captured = capsys.readouterr()
+            assert code == 0 and captured.err == ""
+            reports.append(json.loads(captured.out)["results"])
+        assert reports[0] == reports[1]
+
+    def test_beta_overflowing_to_minus_inf_exits_1(self, capsys):
+        code = main(["qutrit-catalyst", "--lambda", "0.5", "--beta=-1e308"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.err == ""
+        assert "overflows" in json.loads(captured.out)["error"]
+
     @pytest.mark.parametrize("copies", ["-1", "0"])
     def test_copies_below_one_exits_1(self, capsys, copies):
         code, report = run_cli(capsys, "qutrit-catalyst", f"--copies={copies}")
@@ -410,6 +444,33 @@ class TestUsageAndEntryPoint:
 
     def test_missing_subcommand_exits_1(self, capsys):
         assert main([]) == 1
+
+    def test_one_parser_serves_a_sequence_like_fresh_processes(self, capsys, tmp_path):
+        doc = {"energies": [0, 1, 2], "populations": [0.5, 0.3, 0.2]}
+        path = write_json(tmp_path / "q.json", doc)
+        runs = [
+            ["single", path, "--kelvin"],
+            ["oracle", path, "--beta-bath", "0.5", "--random", "2", "--seed", "4"],
+            ["oracle", path],  # no --beta-bath: a usage error
+            ["asymptotic", path, "--delta", "0.1", "--expansion"],
+            ["oracle", path, "--beta-bath=-30"],
+            ["qutrit-catalyst", "--copies", "3"],
+            ["jc", "--fock", "2", "--steps", "20"],
+            ["single", path],
+        ]
+        assert build_parser() is build_parser()
+        in_process = []
+        for argv in runs:
+            code = main(argv)
+            captured = capsys.readouterr()
+            in_process.append((code, captured.out, captured.err))
+        for argv, (code, out, err) in zip(runs, in_process):
+            proc = subprocess.run(
+                [sys.executable, "-m", "efftemp", *argv], capture_output=True, text=True
+            )
+            assert (code, out) == (proc.returncode, proc.stdout)
+            assert err == proc.stderr
+        assert [code for code, _, _ in in_process] == [0, 0, 1, 0, 0, 0, 0, 0]
 
     def test_module_entry_point(self, tmp_path):
         path = tmp_path / "q.json"

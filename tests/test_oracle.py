@@ -1,17 +1,21 @@
+import itertools
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from conftest import diag_system, random_energies
 from efftemp import oracle
-from efftemp.linalg import ValidationError
+from efftemp.linalg import SolverError, ValidationError
 from efftemp.oracle import (
     GibbsStochasticLP,
     build_cooling_protocol,
     heat_sign_oracle,
     max_energy_gain,
     simulated_protocol_heat,
+    thermomajorization_extremes,
 )
 from efftemp.temperatures import single_copy_effective
 from efftemp.thermal import gibbs_by_beta, gibbs_populations
@@ -158,12 +162,13 @@ def highs_energy_change(populations, energies, beta_bath: float, maximize: bool)
 class TestHighsCrossCheck:
     @staticmethod
     def check(populations, energies, beta_bath):
+        # the LP reference and the vertex path, each against HiGHS
         lp = GibbsStochasticLP(populations, energies, beta_bath)
-        for maximize in (True, False):
-            ours = max_energy_gain(lp, maximize=maximize)
-            assert ours.value == pytest.approx(
-                highs_energy_change(populations, energies, beta_bath, maximize), abs=1e-9
-            )
+        verdict = heat_sign_oracle(diag_system(energies, populations), beta_bath)
+        for vertex, maximize in ((verdict.gain, True), (verdict.loss, False)):
+            highs = highs_energy_change(populations, energies, beta_bath, maximize)
+            assert max_energy_gain(lp, maximize=maximize).value == pytest.approx(highs, abs=1e-9)
+            assert vertex.value == pytest.approx(highs, abs=1e-9)
 
     @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
     def test_random_instances(self, dim):
@@ -194,6 +199,177 @@ class TestHighsCrossCheck:
         for beta_bath in (-0.8, 0.0, 1.1):
             self.check(rng.dirichlet(np.ones(len(energies))), energies, beta_bath)
 
+    @pytest.mark.parametrize("dim", [2, 4, 6])
+    def test_empty_levels(self, dim):
+        rng = np.random.default_rng(4000 + dim)
+        for beta_bath in (-1.5, 0.0, 0.9):
+            p = rng.dirichlet(np.ones(dim))
+            p[rng.integers(dim)] = 0.0
+            self.check(p / p.sum(), random_energies(rng, dim), beta_bath)
+
+
+def curve_excess(q, p, g):
+    """How far q's thermo-majorization curve rises above p's, from the definition.
+
+    Each curve joins the cumulative (Gibbs weight, population) points of
+    its levels sorted by descending population / weight; weights g > 0.
+    """
+    def corners(r):
+        order = sorted(range(len(r)), key=lambda i: -r[i] / g[i])
+        return np.cumsum([0.0, *g[order]]), np.cumsum([0.0, *r[order]])
+
+    xq, yq = corners(q)
+    xp, yp = corners(p)
+    return max(0.0, max(yq - np.interp(xq, xp, yp)))
+
+
+def looped_extremes(populations, energies, beta_bath):
+    """Largest and smallest e . (q - p) over the vertices q, one order at a time.
+
+    The vertex of an order climbs p's curve over each level's Gibbs weight
+    in that order; well conditioned only while no weight underflows.
+    """
+    e = np.asarray(energies, dtype=float)
+    p = np.asarray(populations, dtype=float)
+    g = gibbs_populations(e, beta_bath)
+    order = sorted(range(e.size), key=lambda i: -p[i] / g[i])
+    xp = np.cumsum([0.0, *g[order]])
+    yp = np.cumsum([0.0, *p[order]])
+    changes = []
+    for perm in itertools.permutations(range(e.size)):
+        climb = np.interp(np.cumsum([0.0, *g[list(perm)]]), xp, yp)
+        q = np.zeros(e.size)
+        q[list(perm)] = np.diff(climb)
+        changes.append(float(e @ q - e @ p))
+    return max(changes), min(changes)
+
+
+def oracle_cases(dim, count, seed, beta_span=5.0):
+    """(energies, populations, beta_bath) with |beta_bath| * span <= beta_span,
+    cycling through generic, degenerate, empty-level, beta = 0 and Gibbs cases."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for k in range(count):
+        kind = k % 5
+        e = random_energies(rng, dim)
+        if kind == 1:
+            e = np.repeat(np.arange((dim + 1) // 2), 2)[:dim] * rng.uniform(0.3, 1.2)
+        p = rng.dirichlet(np.ones(dim))
+        span = max(float(e[-1] - e[0]), 1e-3)
+        beta = float(rng.uniform(-beta_span, beta_span)) / span
+        if kind == 2 and dim > 1:
+            p[rng.integers(dim)] = 0.0
+            p /= p.sum()
+        elif kind == 3:
+            beta = 0.0
+        elif kind == 4:
+            p = gibbs_populations(e, beta)
+        cases.append((e, p, beta))
+    return cases
+
+
+class TestThermomajorizationExtremes:
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+    def test_matches_the_lp_where_it_is_well_conditioned(self, dim):
+        for e, p, beta in oracle_cases(dim, 25, seed=6100 + dim):
+            verdict = heat_sign_oracle(diag_system(e, p), beta)
+            lp = GibbsStochasticLP(p, e, beta)
+            assert verdict.gain.value == pytest.approx(max_energy_gain(lp, True).value, abs=1e-9)
+            assert verdict.loss.value == pytest.approx(max_energy_gain(lp, False).value, abs=1e-9)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
+    def test_matches_the_looped_vertices(self, dim):
+        for e, p, beta in oracle_cases(dim, 10, seed=6200 + dim):
+            verdict = heat_sign_oracle(diag_system(e, p), beta)
+            gain, loss = looped_extremes(p, e, beta)
+            assert verdict.gain.value == pytest.approx(gain, abs=1e-12)
+            assert verdict.loss.value == pytest.approx(loss, abs=1e-12)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+    def test_vertices_carry_their_certificate(self, dim):
+        for e, p, beta in oracle_cases(dim, 15, seed=6300 + dim):
+            g = gibbs_populations(e, beta)
+            verdict = heat_sign_oracle(diag_system(e, p), beta)
+            for opt in (verdict.gain, verdict.loss):
+                q = opt.vertex
+                assert q.min() >= -1e-15 and abs(q.sum() - 1.0) <= 1e-12
+                assert curve_excess(q, p, g) <= 1e-12
+                assert 0.0 <= opt.residual <= 1e-12
+                assert opt.value == float(((q - p) * (e - e[0])).sum())
+
+    def test_stacked_rows_are_the_single_rows_bit_for_bit(self):
+        for dim in (1, 2, 3, 4, 5, 6):
+            cases = oracle_cases(dim, 20, seed=6400 + dim)
+            cases += [(e, p, b * 400.0) for e, p, b in cases[:5]]
+            e, p, beta = (np.array(column) for column in zip(*cases))
+            stacked = thermomajorization_extremes(e, p, beta)
+            for s in range(len(cases)):
+                alone = thermomajorization_extremes(e[s:s + 1], p[s:s + 1], beta[s:s + 1])
+                for whole, one in zip(stacked, alone):
+                    for name in ("value", "vertex", "residual"):
+                        assert getattr(whole, name)[s].tobytes() == getattr(one, name)[0].tobytes()
+
+    @pytest.mark.parametrize(
+        "beta_bath,gain,loss",
+        [(30.0, 0.0, -0.7), (800.0, 0.0, -0.7), (1e308, 0.0, -0.7),
+         (-30.0, 1.3, 0.0), (-800.0, 1.3, 0.0), (-1e308, 1.3, 0.0)],
+    )
+    def test_cold_and_hot_baths_on_the_pinned_state(self, beta_bath, gain, loss):
+        # beta_c = log(5/3) and beta_h = log(3/2): a cold bath can only take
+        # energy, a hot one only give it, up to the full ground or top level
+        system = diag_system([0.0, 1.0, 2.0], [0.5, 0.3, 0.2])
+        verdict = heat_sign_oracle(system, beta_bath)
+        assert verdict.gain.value == pytest.approx(gain, abs=1e-12)
+        assert verdict.loss.value == pytest.approx(loss, abs=1e-12)
+        predicted = oracle.predicted_verdicts(single_copy_effective(system), beta_bath)
+        assert (verdict.can_cool, verdict.can_heat) == predicted == (beta_bath < 0, beta_bath > 0)
+
+    def test_cold_and_hot_baths_agree_with_the_closed_form(self):
+        rng = np.random.default_rng(6500)
+        for k in range(200):
+            system = oracle.random_diagonal_system(rng, 2 + k % 5)
+            pair = single_copy_effective(system)
+            for magnitude in rng.uniform(10.0, 40.0, 2):
+                for beta_bath in (magnitude, -magnitude):
+                    verdict = heat_sign_oracle(system, float(beta_bath))
+                    predicted = oracle.predicted_verdicts(pair, float(beta_bath))
+                    assert (verdict.can_cool, verdict.can_heat) == predicted
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+    def test_underflowing_weights_reach_the_limit(self, dim):
+        # once every weight ratio is below e^-100, the optima sit at their
+        # beta -> +/-inf limits, whether or not the weights underflow
+        for e, p, _ in oracle_cases(dim, 15, seed=6600 + dim):
+            gaps = np.diff(e)[np.diff(e) > 0]
+            if not gaps.size:
+                continue
+            near = 100.0 / gaps.min()
+            for sign in (1.0, -1.0):
+                limit = heat_sign_oracle(diag_system(e, p), sign * near)
+                for beta_bath in (sign * 800.0 / gaps.min(), sign * 1e308):
+                    far = heat_sign_oracle(diag_system(e, p), beta_bath)
+                    assert far.gain.value == pytest.approx(limit.gain.value, abs=1e-12)
+                    assert far.loss.value == pytest.approx(limit.loss.value, abs=1e-12)
+                    assert far.gain.residual <= 1e-12 and far.loss.residual <= 1e-12
+
+    def test_a_vertex_off_the_polytope_raises(self, monkeypatch):
+        curve_table = oracle._curve_table
+        monkeypatch.setattr(oracle, "_curve_table", lambda *args: curve_table(*args) * 1.001)
+        with pytest.raises(SolverError, match="thermo-majorization"):
+            heat_sign_oracle(diag_system([0.0, 1.0, 2.0], [0.5, 0.3, 0.2]), 0.5)
+
+    def test_level_tables_are_built_on_first_use(self):
+        code = (
+            "import numpy as np, efftemp, efftemp.cli\n"
+            "from efftemp import oracle\n"
+            "print(oracle._level_tables.cache_info().currsize)\n"
+            "oracle.heat_sign_oracle(efftemp.QuantumSystem([0.0, 1.0], np.eye(2) / 2), 0.5)\n"
+            "print(oracle._level_tables.cache_info().currsize)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert proc.stdout.split() == ["0", "1"]
+
 
 class TestHeatSignOracle:
     def test_equilibrium(self, rng):
@@ -216,11 +392,18 @@ class TestHeatSignOracle:
     def test_returns_the_deciding_optima(self):
         system = diag_system([0.0, 1.0, 2.0], ROTATED_QUTRIT_DIAG)
         verdict = heat_sign_oracle(system, 0.5)
+        gain, loss = thermomajorization_extremes(
+            system.energies[None], system.populations[None], np.array([0.5])
+        )
         lp = GibbsStochasticLP(system.populations, system.energies, 0.5)
-        for opt, maximize in ((verdict.gain, True), (verdict.loss, False)):
-            again = max_energy_gain(lp, maximize=maximize)
-            assert opt.value == again.value
-            assert np.array_equal(opt.matrix, again.matrix)
+        for opt, again, maximize in ((verdict.gain, gain, True), (verdict.loss, loss, False)):
+            assert opt.value == again.value[0]
+            assert np.array_equal(opt.vertex, again.vertex[0])
+            assert opt.residual == again.residual[0] <= oracle.POLYTOPE_TOL
+            # the vertex's energy change is the value, and the LP reaches it too
+            shift = system.energies - system.energies[0]
+            assert opt.value == float(((opt.vertex - system.populations) * shift).sum())
+            assert opt.value == pytest.approx(max_energy_gain(lp, maximize).value, abs=1e-12)
         assert verdict.can_cool == (verdict.gain.value > oracle.SIGN_MARGIN)
         assert verdict.can_heat == (verdict.loss.value < -oracle.SIGN_MARGIN)
 
@@ -245,27 +428,30 @@ class TestHeatSignOracle:
             heat_sign_oracle(system, 1.0)
 
     def test_one_model_and_one_constraint_build_per_verdict(self, monkeypatch):
+        # one validated model, one vertex enumeration for both directions,
+        # and no LP model or solve
         built = []
-        solved = []
-        post_init = GibbsStochasticLP.__post_init__
-        solve_lp = oracle.simplex.solve_lp
+        calls = []
+        extremes = oracle.thermomajorization_extremes
 
-        def counting_post_init(lp):
-            built.append(lp)
-            post_init(lp)
+        def recording_extremes(energies, populations, beta_bath):
+            calls.append((energies, populations, beta_bath))
+            return extremes(energies, populations, beta_bath)
 
-        def recording_solve_lp(c, a_eq, b_eq, maximize=False, **kwargs):
-            solved.append((c, a_eq, b_eq, maximize))
-            return solve_lp(c, a_eq, b_eq, maximize=maximize, **kwargs)
+        def no_lp(*args, **kwargs):
+            raise AssertionError("the verdict ran the LP")
 
-        monkeypatch.setattr(GibbsStochasticLP, "__post_init__", counting_post_init)
-        monkeypatch.setattr(oracle.simplex, "solve_lp", recording_solve_lp)
-        heat_sign_oracle(diag_system([0.0, 1.0, 2.0], ROTATED_QUTRIT_DIAG), 0.5)
-        assert len(built) == 1
-        assert [call[3] for call in solved] == [True, False]
-        (lp,) = built
-        for c, a_eq, b_eq, _ in solved:
-            assert c is lp.cost and a_eq is lp.a_eq and b_eq is lp.b_eq
+        monkeypatch.setattr(GibbsStochasticLP, "__post_init__", lambda lp: built.append(lp))
+        monkeypatch.setattr(oracle, "thermomajorization_extremes", recording_extremes)
+        monkeypatch.setattr(oracle.simplex, "solve_lp", no_lp)
+        system = diag_system([0.0, 1.0, 2.0], ROTATED_QUTRIT_DIAG)
+        verdict = heat_sign_oracle(system, 0.5)
+        assert built == []
+        ((energies, populations, beta_bath),) = calls
+        assert energies.shape == populations.shape == (1, 3) and beta_bath.tolist() == [0.5]
+        assert np.array_equal(energies[0], system.energies)
+        assert np.array_equal(populations[0], system.populations)
+        assert (verdict.can_cool, verdict.can_heat) == (True, True)
 
     @pytest.mark.parametrize(
         "energies",
@@ -334,7 +520,7 @@ class TestStackedTrials:
     def test_report_equals_the_per_verdict_loop(self, monkeypatch, dims, n_systems, small_chunks):
         if small_chunks:
             # 3 systems of (3, 4) or 1 of (2, ..., 6) per chunk
-            monkeypatch.setattr(oracle, "TRIAL_CHUNK_BYTES", 60_000)
+            monkeypatch.setattr(oracle, "TRIAL_CHUNK_BYTES", 3 * 5 * 24 * 4 * 8)
         for seed in (1, 7, 2024):
             report = oracle.equivalence_trials(n_systems, 5, seed, dims)
             cases, disagreements, residual = looped_trials(n_systems, 5, seed, dims)
@@ -344,30 +530,18 @@ class TestStackedTrials:
 
     def test_chunks_end_in_a_partial_one(self, monkeypatch):
         sizes = []
-        solve_lps = oracle.simplex.solve_lps
+        extremes = oracle.thermomajorization_extremes
 
-        def recording_solve_lps(c, *args, **kwargs):
-            sizes.append(c.shape)
-            return solve_lps(c, *args, **kwargs)
+        def recording_extremes(energies, *args):
+            sizes.append(energies.shape)
+            return extremes(energies, *args)
 
-        monkeypatch.setattr(oracle, "TRIAL_CHUNK_BYTES", 60_000)
-        monkeypatch.setattr(oracle.simplex, "solve_lps", recording_solve_lps)
+        # 3 systems of 5 baths x 4! orders x 4 levels x 8 bytes per chunk
+        monkeypatch.setattr(oracle, "TRIAL_CHUNK_BYTES", 3 * 5 * 24 * 4 * 8)
+        monkeypatch.setattr(oracle, "thermomajorization_extremes", recording_extremes)
         oracle.equivalence_trials(10, 5, 3, (3, 4))
-        # chunks of 3 systems, alternating d = 3 and 4, both directions
-        assert sizes == [(20, 9), (10, 16), (10, 9), (20, 16), (20, 9), (10, 16), (10, 16)]
-
-    def test_lp_rows_match_the_model_bit_for_bit(self):
-        rng = np.random.default_rng(8100)
-        for d in (1, 2, 3, 4, 5, 6):
-            e = np.stack([random_energies(rng, d) for _ in range(30)])
-            p = rng.dirichlet(np.ones(d), 30)
-            beta = rng.uniform(-3.0, 3.0, 30)
-            beta[0] = 0.0
-            g, a_eq, b_eq, cost = oracle._lp_rows(e, p, beta)
-            for s in range(30):
-                lp = GibbsStochasticLP(p[s], e[s], beta[s])
-                for row, field in ((g, lp.gibbs), (a_eq, lp.a_eq), (b_eq, lp.b_eq), (cost, lp.cost)):
-                    assert row[s].tobytes() == field.tobytes()
+        # chunks of 3 systems, alternating d = 3 and 4, one row per bath
+        assert sizes == [(10, 3), (5, 4), (5, 3), (10, 4), (10, 3), (5, 4), (5, 4)]
 
 
 class TestCoolingProtocol:
@@ -433,6 +607,14 @@ class TestGibbsStochasticLPValidation:
     def test_rejects_dimension_over_cap(self):
         with pytest.raises(ValidationError, match="cap is 6, got 7"):
             GibbsStochasticLP(np.ones(7) / 7, np.arange(7.0), 1.0)
+
+    def test_rejects_an_infinite_energy_span(self):
+        # e_1 - e_0 overflows; the verdict rejects it with the same check
+        e = np.array([-1e308, 1e308])
+        with pytest.raises(ValidationError, match="span"):
+            GibbsStochasticLP(np.array([0.5, 0.5]), e, 0.0)
+        with pytest.raises(ValidationError, match="span"):
+            heat_sign_oracle(diag_system(e, [0.5, 0.5]), 0.0)
 
     def test_rejects_infinite_bath(self):
         with pytest.raises(ValidationError):

@@ -219,13 +219,30 @@ class TestQuantumSystem:
             diag_system([0.0, 1.0], [0.7, 0.7])
 
 
-class TestGibbsRows:
-    def test_rows_match_the_one_ladder_weights_bit_for_bit(self):
-        rng = np.random.default_rng(77)
-        for d in (1, 2, 3, 5, 6, 9):
-            e = np.stack([random_energies(rng, d) for _ in range(40)])
-            beta = rng.uniform(-5.0, 5.0, 40)
-            beta[:3] = (0.0, -0.0, 1e-300)
-            rows = thermal._gibbs_rows(e, beta)
-            for s in range(40):
-                assert rows[s].tobytes() == thermal._gibbs_populations(e[s], beta[s]).tobytes()
+class TestGibbsWeightOverflow:
+    @staticmethod
+    def unguarded(e, beta):
+        """The weights' arithmetic, t = beta e and exp(-(t - min t)), with overflow silenced."""
+        with np.errstate(over="ignore"):
+            t = beta * e
+        w = np.exp(-(t - t.min()))
+        return w / w.sum()
+
+    def test_same_bits_with_and_without_overflow(self):
+        rng = np.random.default_rng(78)
+        cases = [(random_energies(rng, d), float(b)) for d in (1, 2, 3, 6, 9)
+                 for b in rng.uniform(-5.0, 5.0, 20)]
+        cases += [(np.array([0.0, 1.0, 2.0]), 1e308), (np.array([-2.0, 0.0, 3.0]), 0.0),
+                  (np.array([1.0, 2.0]), 1e308), (np.array([-3.0, -1.0]), -1e308),
+                  (np.array([0.0, 1e-300, 5.0]), 1e307), (np.array([0.0, 1.0, 2.0]), 1e300)]
+        for e, beta in cases:
+            got = thermal._gibbs_populations(e, beta)
+            assert got.tobytes() == self.unguarded(e, beta).tobytes()
+        assert thermal._gibbs_populations(np.array([0.0, 1.0, 2.0]), 1e308).tolist() == [1, 0, 0]
+
+    @pytest.mark.parametrize("energies,beta", [
+        ([0.0, 1.0, 2.0], -1e308), ([-2.0, 0.0, 2.0], 1e308), ([-2.0, -1.0], 1e308),
+    ])
+    def test_a_minus_infinite_exponent_is_rejected(self, energies, beta):
+        with pytest.raises(ValidationError, match="overflows"):
+            thermal._gibbs_populations(np.array(energies), beta)
