@@ -113,8 +113,6 @@ class HeatOptimum:
     `vertex` is the optimal q, and `residual` its certificate: the largest
     of |sum q - 1|, the most negative entry of q, and the height by which
     q's thermo-majorization curve rises above p's, checked to be <= 1e-9.
-    `thermomajorization_extremes` returns the fields of a stack of rows,
-    (S,), (S, d) and (S,); a verdict holds one row.
     """
 
     value: float
@@ -127,7 +125,8 @@ class HeatVerdict:
     """Heat-sign verdicts at one bath temperature with the two optima.
 
     gain maximizes and loss minimizes the system's energy change; can_cool
-    is gain > SIGN_MARGIN and can_heat is loss < -SIGN_MARGIN.
+    is gain > SIGN_MARGIN and can_heat is loss < -SIGN_MARGIN, each also
+    true for a flow that an exactly empty level makes certain (`_decided`).
     """
 
     can_cool: bool
@@ -264,10 +263,11 @@ def thermomajorization_extremes(energies, populations, beta_bath):
     model per row, are validated by the caller; beta_bath (S,) is finite.
     Every vertex of a row's polytope is the curve's rise along one order of
     the levels, so the optima are the best and worst of d! closed-form
-    points.  Returns (gain, loss), `HeatOptimum`s whose fields are stacked
-    over the rows: gain.value is max e . (q - p) and loss.value the
-    minimum, each with its vertex q and certificate residual.  Raises
-    SolverError if a residual exceeds POLYTOPE_TOL.
+    points.  Returns (value (2, S), vertex (2, S, d), residual (2, S)): row
+    0 of each is the gain, max e . (q - p), and row 1 the loss, the
+    minimum, each with its vertex q and the certificate residual that
+    `HeatOptimum` describes.  Raises SolverError if a residual exceeds
+    POLYTOPE_TOL.
     """
     e = np.asarray(energies, dtype=float)
     p = np.asarray(populations, dtype=float)
@@ -305,8 +305,31 @@ def thermomajorization_extremes(energies, populations, beta_bath):
         raise linalg.SolverError(
             f"optimal vertex violates thermo-majorization by {float(residual.max()):.2e}"
         )
-    value = ((q - p) * shifted).sum(axis=2)
-    return tuple(HeatOptimum(value=value[k], vertex=q[k], residual=residual[k]) for k in (0, 1))
+    return ((q - p) * shifted).sum(axis=2), q, residual
+
+
+def _decided(e, p, value):
+    """(can_cool, can_heat), two (S,) bool arrays, of a stack's optima.
+
+    `value` is the (2, S) gain and loss of `thermomajorization_extremes`.
+    A flow is an optimum beyond SIGN_MARGIN, or one an exactly empty level
+    makes certain: at any finite bath the two-level thermalization of an
+    empty level j and a level i of distinct energy holding more than
+    ZERO_POPULATION moves a share p_i g_j / (g_i + g_j) > 0 into j, which
+    raises the energy when e_i < e_j and lowers it when e_i > e_j, however
+    far below the margin (or below the smallest float) that share lies.
+    Such a pair is one the closed form gives an infinite virtual
+    temperature.
+    """
+    can_cool = value[0] > SIGN_MARGIN
+    can_heat = value[1] < -SIGN_MARGIN
+    for s in np.flatnonzero((p == 0.0).any(axis=1)).tolist():
+        low, high, _ = temperatures._pair_table(e[s])
+        empty = p[s] == 0.0
+        occupied = p[s] > temperatures.ZERO_POPULATION
+        can_cool[s] |= bool(np.any(occupied[low] & empty[high]))
+        can_heat[s] |= bool(np.any(empty[low] & occupied[high]))
+    return can_cool, can_heat
 
 
 def heat_sign_oracle(system: QuantumSystem, beta_bath: float) -> HeatVerdict:
@@ -315,20 +338,21 @@ def heat_sign_oracle(system: QuantumSystem, beta_bath: float) -> HeatVerdict:
     can_cool: some thermometer at beta_bath loses energy, i.e. the system
     can gain energy under a Gibbs-stochastic map; can_heat symmetrically.
     Strict inequalities are realized with a 1e-9 margin, since the
-    vertices are exact up to float noise.  The model is validated once,
-    and the two optima that decide the verdicts are returned with them.
+    vertices are exact up to float noise, except for the flows into an
+    exactly empty level that `_decided` counts however small.  The model is
+    validated once, and the two optima that decide the verdicts are
+    returned with them.
     """
     e, p = _checked_model(system.energies, system.populations, beta_bath)
+    value, vertex, residual = thermomajorization_extremes(
+        e[None], p[None], np.array([float(beta_bath)])
+    )
+    can_cool, can_heat = _decided(e[None], p[None], value)
     gain, loss = (
-        HeatOptimum(value=float(o.value[0]), vertex=o.vertex[0], residual=float(o.residual[0]))
-        for o in thermomajorization_extremes(e[None], p[None], np.array([float(beta_bath)]))
+        HeatOptimum(value=float(value[k, 0]), vertex=vertex[k, 0], residual=float(residual[k, 0]))
+        for k in (0, 1)
     )
-    return HeatVerdict(
-        can_cool=bool(gain.value > SIGN_MARGIN),
-        can_heat=bool(loss.value < -SIGN_MARGIN),
-        gain=gain,
-        loss=loss,
-    )
+    return HeatVerdict(can_cool=bool(can_cool[0]), can_heat=bool(can_heat[0]), gain=gain, loss=loss)
 
 
 def predicted_verdicts(
@@ -338,8 +362,9 @@ def predicted_verdicts(
 
     Cooling needs a bath strictly hotter than beta_c, heating one strictly
     colder than beta_h.  A bath within SIGN_MARGIN * max(1, |beta_bath|) of
-    beta_c or beta_h is a tie and predicts no flow, as the LP verdicts'
-    SIGN_MARGIN does for an optimum that vanishes up to rounding.
+    beta_c or beta_h is a tie and predicts no flow, as the verdicts'
+    SIGN_MARGIN does for an optimum that vanishes up to rounding.  An
+    infinite beta_c or beta_h, from an empty level, is never a tie.
     """
     tie = SIGN_MARGIN * max(1.0, abs(beta_bath))
     return (
@@ -469,12 +494,12 @@ def equivalence_trials(
                 raise ValidationError(f"oracle dimension cap is {ORACLE_DIM_CAP}, got {d}")
             e = np.repeat([system.energies for system, _ in group], baths_per_system, axis=0)
             p = np.repeat([system.populations for system, _ in group], baths_per_system, axis=0)
+            p = np.maximum(p, 0.0)
             beta = np.array([b for _, baths in group for b in baths])
-            gain, loss = thermomajorization_extremes(e, np.maximum(p, 0.0), beta)
-            residual = max(residual, float(gain.residual.max()), float(loss.residual.max()))
-            can_cool = (gain.value > SIGN_MARGIN).tolist()
-            can_heat = (loss.value < -SIGN_MARGIN).tolist()
-            verdicts = iter(zip(can_cool, can_heat))
+            value, _, certificate = thermomajorization_extremes(e, p, beta)
+            residual = max(residual, float(certificate.max()))
+            can_cool, can_heat = _decided(e, p, value)
+            verdicts = iter(zip(can_cool.tolist(), can_heat.tolist()))
             for system, baths in group:
                 pair = temperatures.single_copy_effective(system)
                 for beta_bath in baths:

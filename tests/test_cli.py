@@ -295,6 +295,22 @@ class TestOracle:
         assert r["max_energy_gain"] == pytest.approx(0.0 if cold else 1.3, abs=1e-12)
         assert r["max_energy_loss"] == pytest.approx(0.7 if cold else 0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("beta_bath", ["25", "30", "-25", "800", "1e308"])
+    def test_an_empty_top_level_agrees_quietly(self, capsys, tmp_path, beta_bath):
+        # beta_c = +inf: the state takes energy from any bath, at beta 25 by
+        # 6.9e-12, below SIGN_MARGIN, and at 800 by less than a float
+        path = write_json(
+            tmp_path / "empty.json", {"energies": [0, 1, 2], "populations": [0.5, 0.5, 0.0]}
+        )
+        code = main(["oracle", path, f"--beta-bath={beta_bath}"])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        r = json.loads(captured.out)["results"]
+        assert r["can_cool"] is True and r["predicted_cool"] is True
+        assert r["agreement"] is True
+        if beta_bath == "25":
+            assert r["max_energy_gain"] == pytest.approx(0.5 * math.exp(-25.0), rel=1e-6)
+
     def test_dimension_cap_exits_1(self, capsys, tmp_path):
         path = write_json(
             tmp_path / "big.json",

@@ -1,10 +1,9 @@
-"""The simplex kernels against each other and against a loop reference.
+"""The simplex kernel against a loop reference.
 
-`simplex_kernel` (one LP) and `simplex_kernels` (a stack in lockstep) must
-make the same pivot choices with the same arithmetic, so they are compared
-bit for bit, sign bits of zeros included.  `loop_kernel` below is the
-entry-by-entry form of the one-LP kernel, kept as the reference for its
-rank-1 elimination.
+`loop_kernel` below is the entry-by-entry form of `simplex_kernel`, kept as
+the reference for its rank-1 elimination: both make the same pivot choices
+with the same arithmetic, so they are compared bit for bit, sign bits of
+zeros included.
 """
 
 import numpy as np
@@ -18,7 +17,6 @@ from efftemp._kernels import (
     OPTIMAL,
     UNBOUNDED,
     simplex_kernel,
-    simplex_kernels,
 )
 from efftemp.oracle import GibbsStochasticLP
 from efftemp.thermal import gibbs_populations
@@ -156,10 +154,6 @@ def gibbs_lps(dim, count, seed):
     return lps
 
 
-def stack(lps):
-    return tuple(np.stack([lp[k] for lp in lps]) for k in range(3))
-
-
 def assert_same(one, status, x):
     assert one[0] == status
     assert one[1].tobytes() == x.tobytes()
@@ -182,26 +176,6 @@ class TestOneLPKernel:
                 status, x = simplex_kernel(A, b, c, TOL, max_iter)
                 assert_same(loop_kernel(A, b, c, TOL, max_iter), status, x)
 
-
-class TestStackedKernel:
-    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
-    def test_matches_the_one_lp_kernel_bit_for_bit(self, dim):
-        lps = gibbs_lps(dim, 120, seed=700 + dim)
-        status, x = simplex_kernels(*stack(lps), TOL, MAX_ITER)
-        assert status.shape == (len(lps),) and x.shape == (len(lps), dim * dim)
-        for k, (A, b, c) in enumerate(lps):
-            assert_same(simplex_kernel(A, b, c, TOL, MAX_ITER), status[k], x[k])
-
-    def test_one_member_stack_is_the_one_lp_kernel(self):
-        for A, b, c in gibbs_lps(4, 6, seed=71):
-            status, x = simplex_kernels(A[None], b[None], c[None], TOL, MAX_ITER)
-            assert_same(simplex_kernel(A, b, c, TOL, MAX_ITER), status[0], x[0])
-
-    def test_empty_stack(self):
-        status, x = simplex_kernels(np.zeros((0, 2, 3)), np.zeros((0, 2)), np.zeros((0, 3)),
-                                    TOL, MAX_ITER)
-        assert status.shape == (0,) and x.shape == (0, 3)
-
     def test_running_minimum_ratio_test(self):
         # entering column 0 (all ones) gives the ratios b.  Row 1 is within
         # the tie band of the smallest ratio (row 2) but not of the running
@@ -211,13 +185,8 @@ class TestStackedKernel:
         b = np.array([1.0 + 1.5e-12, 1.0 + 0.6e-12, 1.0])
         A = np.array([[1.0, 1.0, 0.0, 0.0], [1.0, 0.0, 1.0, 0.0], [1.0, 0.0, 0.0, 1.0]])
         c = np.array([1.0, 0.0, 0.0, 0.0])
-        T = _kernels._tableaux(A[None], b[None])
-        basis = np.array([[4, 5, 6]])
-        assert _kernels._leaving_rows(T, basis, np.array([0]), TOL).tolist() == [2]
         assert _kernels._leaving_row([1.0, 1.0, 1.0], b.tolist(), [4, 5, 6], TOL) == 2
-        status, x = simplex_kernels(A[None], b[None], c[None], TOL, MAX_ITER)
-        assert_same(loop_kernel(A, b, c, TOL, MAX_ITER), status[0], x[0])
-        assert_same(simplex_kernel(A, b, c, TOL, MAX_ITER), status[0], x[0])
+        assert_same(loop_kernel(A, b, c, TOL, MAX_ITER), *simplex_kernel(A, b, c, TOL, MAX_ITER))
 
     def test_ratio_one_band_above_the_minimum(self):
         # 1 + 1e-12 rounds to a float whose difference with the band rounds
@@ -226,33 +195,10 @@ class TestStackedKernel:
         col, rhs, basis = [1.0, 1.0], [1.0 + 1e-12, 1.0], [4, 5]
         assert (rhs[0] - _kernels._TIE_BAND) == rhs[1]
         assert _kernels._leaving_row(col, rhs, basis, TOL) == 0
-        W = np.zeros((2, 3, 3))
-        W[:, :2, 0] = col
-        W[:, :2, -1] = [rhs, rhs[::-1]]
-        leave = _kernels._leaving_rows(W, np.array([basis, basis]), np.zeros(2, dtype=int), TOL)
         # reversed, row 1 sits exactly at 1 + band: no tie, row 0 stays too
-        assert leave.tolist() == [0, 0]
         assert _kernels._leaving_row(col, rhs[::-1], basis, TOL) == 0
 
-    def test_stacked_ratio_test_matches_the_scan(self):
-        # exact ties, band ties, ratios so large that rmin + band rounds to
-        # rmin, zero and negative rows, against the row-by-row scan
-        rng = np.random.default_rng(72)
-        values = np.array([0.0, -0.0, 1.0, 1.0 + 5e-13, 1.0 - 5e-13, 1.0 + 2e-12, 3.0,
-                           1e5, 1e5 + 1e-11, -1e-17, 1e-17, 0.5])
-        for _ in range(400):
-            B, m = 8, int(rng.integers(1, 7))
-            W = np.zeros((B, m + 1, 3))
-            W[:, :m, 0] = rng.choice([-1.0, 0.0, 1e-11, 0.5, 1.0, 1.0, 2.0], (B, m))
-            W[:, :m, -1] = rng.choice(values, (B, m)) * np.where(W[:, :m, 0] > 0, W[:, :m, 0], 1.0)
-            basis = np.array([rng.permutation(m + 3)[:m] for _ in range(B)])
-            leave = _kernels._leaving_rows(W, basis, np.zeros(B, dtype=int), TOL)
-            for k in range(B):
-                assert leave[k] == _kernels._leaving_row(
-                    W[k, :m, 0].tolist(), W[k, :m, -1].tolist(), basis[k].tolist(), TOL
-                )
-
-    def test_mixed_stack_keeps_each_members_status(self):
+    def test_each_status_matches_the_loop_reference(self):
         # max_iter 3: optimal, infeasible, unbounded, out of iterations
         A = np.array([
             [[1.0, 1.0, 1.0], [1.0, -1.0, 0.0]],
@@ -264,27 +210,26 @@ class TestStackedKernel:
         b = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [1.0, 0.0]])
         c = np.array([[-1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [-2.0, 2.0, 0.0],
                       [0.0, 0.0, 1.0]])
-        status, x = simplex_kernels(A, b, c, TOL, 3)
-        assert status.tolist() == [OPTIMAL, INFEASIBLE, UNBOUNDED, ITERATION_LIMIT, OPTIMAL]
-        assert x[0].tolist() == [0.5, 0.5, 0.0]
+        capped = [simplex_kernel(A[k], b[k], c[k], TOL, 3) for k in range(5)]
+        assert [status for status, _ in capped] == [
+            OPTIMAL, INFEASIBLE, UNBOUNDED, ITERATION_LIMIT, OPTIMAL
+        ]
+        assert capped[0][1].tolist() == [0.5, 0.5, 0.0]
         for k in range(5):
-            assert_same(simplex_kernel(A[k], b[k], c[k], TOL, 3), status[k], x[k])
-        # with room to finish, the capped member solves
-        status, x = simplex_kernels(A, b, c, TOL, MAX_ITER)
-        assert status.tolist() == [OPTIMAL, INFEASIBLE, UNBOUNDED, OPTIMAL, OPTIMAL]
+            assert_same(loop_kernel(A[k], b[k], c[k], TOL, 3), *capped[k])
+        # with room to finish, the capped LP solves
+        full = [simplex_kernel(A[k], b[k], c[k], TOL, MAX_ITER) for k in range(5)]
+        assert [status for status, _ in full] == [OPTIMAL, INFEASIBLE, UNBOUNDED, OPTIMAL, OPTIMAL]
         for k in range(5):
-            assert_same(simplex_kernel(A[k], b[k], c[k], TOL, MAX_ITER), status[k], x[k])
+            assert_same(loop_kernel(A[k], b[k], c[k], TOL, MAX_ITER), *full[k])
 
     def test_phase_one_gap_and_redundant_rows(self):
-        # an infeasible member caught at the phase-1 exit, not by the ratio
-        # test, and a member with a redundant row whose artificial stays basic
-        A = np.array([
-            [[1.0, 1.0], [1.0, 1.0]],
-            [[1.0, 1.0], [2.0, 2.0]],
-        ])
+        # an infeasible LP caught at the phase-1 exit, not by the ratio test,
+        # and an LP with a redundant row whose artificial stays basic
+        A = np.array([[[1.0, 1.0], [1.0, 1.0]], [[1.0, 1.0], [2.0, 2.0]]])
         b = np.array([[1.0, 2.0], [1.0, 2.0]])
-        c = np.array([[-1.0, 0.0], [-1.0, 0.0]])
-        status, x = simplex_kernels(A, b, c, TOL, MAX_ITER)
-        assert status.tolist() == [INFEASIBLE, OPTIMAL]
-        for k in range(2):
-            assert_same(loop_kernel(A[k], b[k], c[k], TOL, MAX_ITER), status[k], x[k])
+        c = np.array([-1.0, 0.0])
+        for k, want in enumerate([INFEASIBLE, OPTIMAL]):
+            status, x = simplex_kernel(A[k], b[k], c, TOL, MAX_ITER)
+            assert status == want
+            assert_same(loop_kernel(A[k], b[k], c, TOL, MAX_ITER), status, x)

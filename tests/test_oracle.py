@@ -303,11 +303,12 @@ class TestThermomajorizationExtremes:
             cases += [(e, p, b * 400.0) for e, p, b in cases[:5]]
             e, p, beta = (np.array(column) for column in zip(*cases))
             stacked = thermomajorization_extremes(e, p, beta)
+            assert [a.shape for a in stacked] == [(2, len(cases)), (2, len(cases), dim),
+                                                  (2, len(cases))]
             for s in range(len(cases)):
                 alone = thermomajorization_extremes(e[s:s + 1], p[s:s + 1], beta[s:s + 1])
                 for whole, one in zip(stacked, alone):
-                    for name in ("value", "vertex", "residual"):
-                        assert getattr(whole, name)[s].tobytes() == getattr(one, name)[0].tobytes()
+                    assert whole[:, s].tobytes() == one[:, 0].tobytes()
 
     @pytest.mark.parametrize(
         "beta_bath,gain,loss",
@@ -324,16 +325,50 @@ class TestThermomajorizationExtremes:
         predicted = oracle.predicted_verdicts(single_copy_effective(system), beta_bath)
         assert (verdict.can_cool, verdict.can_heat) == predicted == (beta_bath < 0, beta_bath > 0)
 
+    @pytest.mark.parametrize("beta_bath", [25.0, 30.0, 800.0, 1e308, -25.0, -30.0, -800.0, -1e308])
+    @pytest.mark.parametrize(
+        "populations", [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]],
+        ids=["empty-top", "empty-ground", "empty-middle"],
+    )
+    def test_flows_into_an_empty_level_count_however_small(self, populations, beta_bath):
+        # an empty level above (below) an occupied one gives beta_c = +inf
+        # (beta_h = -inf), and the flow into it is positive at any finite
+        # bath, though below SIGN_MARGIN here or below the smallest float
+        system = diag_system([0.0, 1.0, 2.0], populations)
+        verdict = heat_sign_oracle(system, beta_bath)
+        pair = single_copy_effective(system)
+        predicted = oracle.predicted_verdicts(pair, beta_bath)
+        assert (verdict.can_cool, verdict.can_heat) == predicted
+        if pair.beta_c == math.inf and beta_bath > 0:
+            assert 0.0 <= verdict.gain.value <= oracle.SIGN_MARGIN and verdict.can_cool
+        if pair.beta_h == -math.inf and beta_bath < 0:
+            assert -oracle.SIGN_MARGIN <= verdict.loss.value <= 0.0 and verdict.can_heat
+
+    def test_a_clamped_zero_counts_and_a_degenerate_one_does_not(self):
+        # a population of -1e-13, clamped to 0, is an empty level
+        clamped = heat_sign_oracle(diag_system([0.0, 1.0, 2.0], [0.5 + 1e-13, 0.5, -1e-13]), 30.0)
+        assert clamped.can_cool
+        # level 2 is empty beside level 1 at the same energy: no energy moves
+        degenerate = heat_sign_oracle(diag_system([0.0, 1.0, 1.0], [0.0, 1.0, 0.0]), 30.0)
+        assert (degenerate.can_cool, degenerate.can_heat) == (False, True)
+
     def test_cold_and_hot_baths_agree_with_the_closed_form(self):
+        # random states, and the same states with some levels emptied, whose
+        # beta_c or beta_h is then infinite
         rng = np.random.default_rng(6500)
+        emptying = np.random.default_rng(6700)
         for k in range(200):
             system = oracle.random_diagonal_system(rng, 2 + k % 5)
-            pair = single_copy_effective(system)
-            for magnitude in rng.uniform(10.0, 40.0, 2):
-                for beta_bath in (magnitude, -magnitude):
-                    verdict = heat_sign_oracle(system, float(beta_bath))
-                    predicted = oracle.predicted_verdicts(pair, float(beta_bath))
-                    assert (verdict.can_cool, verdict.can_heat) == predicted
+            p = system.populations.copy()
+            p[emptying.choice(p.size, 1 + k % (p.size - 1), replace=False)] = 0.0
+            magnitudes = rng.uniform(10.0, 40.0, 2)
+            for state in (system, diag_system(system.energies, p / p.sum())):
+                pair = single_copy_effective(state)
+                for magnitude in (*magnitudes, 800.0, 1e308):
+                    for beta_bath in (float(magnitude), -float(magnitude)):
+                        verdict = heat_sign_oracle(state, beta_bath)
+                        predicted = oracle.predicted_verdicts(pair, beta_bath)
+                        assert (verdict.can_cool, verdict.can_heat) == predicted
 
     @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
     def test_underflowing_weights_reach_the_limit(self, dim):
@@ -392,14 +427,14 @@ class TestHeatSignOracle:
     def test_returns_the_deciding_optima(self):
         system = diag_system([0.0, 1.0, 2.0], ROTATED_QUTRIT_DIAG)
         verdict = heat_sign_oracle(system, 0.5)
-        gain, loss = thermomajorization_extremes(
+        value, vertex, residual = thermomajorization_extremes(
             system.energies[None], system.populations[None], np.array([0.5])
         )
         lp = GibbsStochasticLP(system.populations, system.energies, 0.5)
-        for opt, again, maximize in ((verdict.gain, gain, True), (verdict.loss, loss, False)):
-            assert opt.value == again.value[0]
-            assert np.array_equal(opt.vertex, again.vertex[0])
-            assert opt.residual == again.residual[0] <= oracle.POLYTOPE_TOL
+        for k, (opt, maximize) in enumerate(((verdict.gain, True), (verdict.loss, False))):
+            assert opt.value == value[k, 0]
+            assert np.array_equal(opt.vertex, vertex[k, 0])
+            assert opt.residual == residual[k, 0] <= oracle.POLYTOPE_TOL
             # the vertex's energy change is the value, and the LP reaches it too
             shift = system.energies - system.energies[0]
             assert opt.value == float(((opt.vertex - system.populations) * shift).sum())

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from efftemp.linalg import SolverError, ValidationError
-from efftemp.simplex import InfeasibleProblem, UnboundedProblem, solve_lp, solve_lps
+from efftemp.simplex import InfeasibleProblem, UnboundedProblem, solve_lp
 
 
 def gibbs_lp_data(rng, dim):
@@ -73,6 +73,16 @@ class TestBasics:
         result = solve_lp([1.0, 0.0], [[-1.0, 1.0]], [-2.0])
         assert result.value == pytest.approx(2.0, abs=1e-12)
 
+    def test_rejects_mismatched_or_non_finite_data(self):
+        with pytest.raises(ValidationError, match="incompatible"):
+            solve_lp(np.ones(2), np.ones((1, 3)), np.ones(1))
+        with pytest.raises(ValidationError, match="incompatible"):
+            solve_lp(np.ones(2), np.ones((2, 2)), np.ones(1))
+        with pytest.raises(ValidationError, match="finite"):
+            solve_lp(np.ones(2), np.full((1, 2), np.nan), np.ones(1))
+        with pytest.raises(ValidationError, match="non-empty"):
+            solve_lp(np.ones((2, 2)), np.ones((1, 2)), np.ones(1))
+
 
 class TestDegeneracy:
     def test_redundant_equalities_terminate(self):
@@ -137,38 +147,3 @@ class TestBackends:
         # the cap is checked before the optimality test, so one pivot hits it
         with pytest.raises(SolverError, match="iteration"):
             solve_lp([-1.0, -1.0, 0.0], [[1.0, 1.0, 1.0]], [1.0], max_iter=1)
-
-
-class TestStackedSolve:
-    def test_matches_solve_lp_bit_for_bit(self, rng):
-        for dim in (2, 3, 5):
-            lps = [gibbs_lp_data(rng, dim)[:3] for _ in range(12)]
-            maximize = np.arange(12) % 3 != 0
-            values, x = solve_lps(
-                np.stack([c for _, _, c in lps]), np.stack([a for a, _, _ in lps]),
-                np.stack([b for _, b, _ in lps]), maximize=maximize,
-            )
-            for k, (a_eq, b_eq, cost) in enumerate(lps):
-                one = solve_lp(cost, a_eq, b_eq, maximize=bool(maximize[k]))
-                assert values[k].hex() == one.value.hex()
-                assert x[k].tobytes() == one.x.tobytes()
-
-    def test_a_failing_member_raises_as_alone(self):
-        c = np.array([[1.0, 0.0], [1.0, 0.0]])
-        a_eq = np.array([[[1.0, 1.0]], [[1.0, 1.0]]])
-        with pytest.raises(InfeasibleProblem):
-            solve_lps(c, a_eq, np.array([[1.0], [-1.0]]))
-        with pytest.raises(UnboundedProblem):
-            solve_lps(c, np.array([[[1.0, 1.0]], [[-1.0, 1.0]]]), np.array([[1.0], [0.0]]),
-                      maximize=True)
-        with pytest.raises(SolverError, match="iteration"):
-            solve_lps(c, a_eq, np.array([[1.0], [1.0]]), maximize=True, max_iter=1)
-
-    def test_rejects_mismatched_or_non_finite_stacks(self):
-        c = np.ones((2, 2))
-        with pytest.raises(ValidationError, match="incompatible"):
-            solve_lps(c, np.ones((2, 1, 3)), np.ones((2, 1)))
-        with pytest.raises(ValidationError, match="incompatible"):
-            solve_lps(c, np.ones((3, 1, 2)), np.ones((3, 1)))
-        with pytest.raises(ValidationError, match="finite"):
-            solve_lps(c, np.full((2, 1, 2), np.nan), np.ones((2, 1)))
