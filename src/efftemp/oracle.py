@@ -7,17 +7,18 @@ q = G p it can reach are those thermo-majorized by p (Ruch, Schranner &
 Seligman 1978; Horodecki & Oppenheim 2013), a polytope with one closed-form
 vertex per order of the levels (Lostaglio, Alhambra & Perry 2018).  The
 largest energy gain and loss over those vertices decide whether any
-thermometer at that bath temperature can be cooled or heated.  The linear
-program over G itself (`GibbsStochasticLP`, `max_energy_gain`) stays as the
-independent reference.  This module is the brute-force counterpart to the
-closed-form virtual-temperature predictions, plus the explicit two-level
-swap protocol that saturates the cooling bound.
+thermometer at that bath temperature can be cooled or heated; by the
+rearrangement inequality they are the vertices of the two energy orders,
+top level first and ground level first.  The linear program over G itself
+(`GibbsStochasticLP`, `max_energy_gain`) stays as the independent
+reference.  This module is the brute-force counterpart to the closed-form
+virtual-temperature predictions, plus the explicit two-level swap protocol
+that saturates the cooling bound.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -31,7 +32,7 @@ from .thermal import QuantumSystem, _gibbs_populations, check_energy_levels
 ORACLE_DIM_CAP = 6
 SIGN_MARGIN = 1e-9       # numerical margin realizing strict heat-sign inequalities
 POLYTOPE_TOL = 1e-9
-# bytes of one (S, d!, d) vertex array over the systems `equivalence_trials`
+# bytes of one (S, 2^d, d) subset array over the systems `equivalence_trials`
 # decides in one chunk, at the largest dimension; the chunk's other arrays
 # and temporaries take a few times this, whatever the number of systems
 TRIAL_CHUNK_BYTES = 1 << 20
@@ -50,8 +51,6 @@ def _checked_model(energies, populations, beta_bath):
         raise ValidationError("populations must be a probability vector (1e-10)")
     if not math.isfinite(beta_bath):
         raise ValidationError("bath inverse temperature must be finite")
-    if not math.isfinite(float(e[-1]) - float(e[0])):
-        raise ValidationError("the energy span must be finite")
     return e, np.maximum(p, 0.0)
 
 
@@ -176,30 +175,19 @@ def max_energy_gain(lp: GibbsStochasticLP, maximize: bool = True) -> PolytopeOpt
 class _LevelTables(NamedTuple):
     """Index tables over d levels; a subset of levels is a bitmask T < 2^d."""
 
-    orders: np.ndarray    # (d!, d) every order of the levels
-    prefixes: np.ndarray  # (d!, d + 1) the subset of the first k levels of each order
-    joins: np.ndarray     # (d!, d) T * d + i where the k-th level i joins the T before it
     members: np.ndarray   # (2^d, d) the levels in each subset
     heaviest: np.ndarray  # (2, 2^d) each subset's lowest and highest level, 0 if empty
-    without: np.ndarray   # (2^d, d) each subset with level i removed
     lower: np.ndarray     # (d, d) the level pairs a < b
 
 
 @functools.cache
 def _level_tables(d: int) -> _LevelTables:
     """The index tables of d levels, built on first use of each d."""
-    orders = np.array(list(itertools.permutations(range(d))), dtype=np.intp).reshape(-1, d)
-    prefixes = np.zeros((orders.shape[0], d + 1), dtype=np.intp)
-    np.cumsum(1 << orders, axis=1, out=prefixes[:, 1:])
     subsets = np.arange(1 << d)
     members = ((subsets[:, None] >> np.arange(d)) & 1).astype(bool)
     return _LevelTables(
-        orders=orders,
-        prefixes=prefixes,
-        joins=prefixes[:, 1:] * d + orders,
         members=members,
         heaviest=np.stack([members.argmax(axis=1), d - 1 - members[:, ::-1].argmax(axis=1)]),
-        without=subsets[:, None] & ~(1 << np.arange(d)),
         lower=np.triu(np.ones((d, d), dtype=bool), 1),
     )
 
@@ -262,12 +250,17 @@ def thermomajorization_extremes(energies, populations, beta_bath):
     energies (S, d) ascending and populations (S, d) non-negative, one
     model per row, are validated by the caller; beta_bath (S,) is finite.
     Every vertex of a row's polytope is the curve's rise along one order of
-    the levels, so the optima are the best and worst of d! closed-form
-    points.  Returns (value (2, S), vertex (2, S, d), residual (2, S)): row
-    0 of each is the gain, max e . (q - p), and row 1 the loss, the
-    minimum, each with its vertex q and the certificate residual that
-    `HeatOptimum` describes.  Raises SolverError if a residual exceeds
-    POLYTOPE_TOL.
+    the levels, and its energy is that order's energy profile integrated
+    against the curve's non-increasing slope.  By the rearrangement
+    inequality the gain is therefore the vertex whose order climbs the
+    levels from the top, d - 1, ..., 0, and the loss the one that climbs
+    from the ground, 0, ..., d - 1; the curve is tabulated over all 2^d
+    subsets because the certificate reads it at each vertex's own
+    beta-order prefixes.  Returns (value (2, S), vertex (2, S, d),
+    residual (2, S)): row 0 of each is the gain, max e . (q - p), and row 1
+    the loss, the minimum, each with its vertex q and the certificate
+    residual that `HeatOptimum` describes.  Raises SolverError if a
+    residual exceeds POLYTOPE_TOL.
     """
     e = np.asarray(energies, dtype=float)
     p = np.asarray(populations, dtype=float)
@@ -283,15 +276,14 @@ def thermomajorization_extremes(energies, populations, beta_bath):
     table = _curve_table(p, weight, order, beta, tables)
     rows = np.arange(S)[:, None]
     shifted = e - e[:, :1]
-    # energy of the rise when level i joins the levels T \ {i} ahead of it
-    steps = shifted[:, None, :] * (table[:, :, None] - table[:, tables.without])
-    energy = steps.reshape(S, -1)[:, tables.joins].sum(axis=2)  # (S, d!)
-    # the gain's and the loss's order per row; q along an order is the
-    # curve's rise over each level's Gibbs weight
-    pick = np.stack([energy.argmax(axis=1), energy.argmin(axis=1)])  # (2, S)
-    climb = table[rows, tables.prefixes[pick]]  # (2, S, d + 1)
-    q = np.empty((2, S, d))
-    q[np.arange(2)[:, None, None], rows, tables.orders[pick]] = np.diff(climb, axis=2)
+    # q along an order is the curve's rise over each level's Gibbs weight:
+    # the gain's order climbs from the top level down, the loss's from the
+    # ground up, so level k rises from the levels above (below) it
+    below = (1 << np.arange(d + 1)) - 1  # the subset of the levels under k = 0, ..., d
+    q = np.stack([
+        -np.diff(table[:, below[-1] - below], axis=1),
+        np.diff(table[:, below], axis=1),
+    ])
     # the certificate: q's own curve may not rise above p's
     own = _beta_order(q, rel, tables.lower)
     rise = np.cumsum(np.take_along_axis(q, own, axis=2), axis=2) - table[
@@ -470,12 +462,12 @@ def equivalence_trials(
 
     The verdicts are those of `heat_sign_oracle`, bit for bit, but decided
     in stacks: systems are drawn in chunks of about TRIAL_CHUNK_BYTES of
-    vertex arrays, and each dimension of a chunk is one
+    subset arrays, and each dimension of a chunk is one
     `thermomajorization_extremes` call over all its baths.
     """
     rng = np.random.default_rng(seed)
     d_max = max(dims)
-    system_bytes = baths_per_system * math.factorial(d_max) * d_max * 8
+    system_bytes = baths_per_system * (1 << d_max) * d_max * 8
     chunk = max(1, TRIAL_CHUNK_BYTES // max(1, system_bytes))
     disagreements = 0
     cases = 0

@@ -24,7 +24,7 @@ ENERGY_RTOL = 1e-12
 
 
 def check_energy_levels(energies) -> np.ndarray:
-    """Validate an ascending, finite energy ladder (degeneracies allowed)."""
+    """Validate an ascending energy ladder with a finite span (degeneracies allowed)."""
     e = np.asarray(energies, dtype=float)
     if e.ndim != 1 or e.size == 0:
         raise ValidationError("energies must be a non-empty 1-d list")
@@ -32,6 +32,8 @@ def check_energy_levels(energies) -> np.ndarray:
         raise ValidationError("energies must be finite")
     if np.any(e[1:] < e[:-1]):  # np.diff could overflow
         raise ValidationError("energies must be sorted in ascending order")
+    if not math.isfinite(float(e[-1]) - float(e[0])):  # Python floats do not warn
+        raise ValidationError("the energy span must be finite")
     if e.size > linalg.MAX_DIM:
         raise ValidationError(f"spectrum size {e.size} exceeds the dense cap {linalg.MAX_DIM}")
     return e
@@ -121,7 +123,9 @@ def _gibbs_populations(e: np.ndarray, beta: float) -> np.ndarray:
 
 def _result_from_populations(e: np.ndarray, beta: float, p: np.ndarray) -> GibbsSolveResult:
     mean = float(p @ e)
-    var = float(p @ (e - mean) ** 2)
+    # a squared deviation may overflow to inf; where its weight is 0 it adds 0
+    with np.errstate(over="ignore"):
+        var = float(p @ np.where(p > 0.0, (e - mean) ** 2, 0.0))
     return GibbsSolveResult(
         beta=beta,
         populations=p,

@@ -516,3 +516,40 @@ class TestUsageAndEntryPoint:
             os.close(write_end)
         assert proc.returncode == status
         assert proc.stderr == b""
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+class TestExtremeMagnitudesAreQuiet:
+    @pytest.mark.parametrize("argv,doc,status,found", [
+        (["single"], {"energies": [-1e308, 1e308], "populations": [0.5, 0.5]}, 1, "span"),
+        (["asymptotic", "--delta", "0.1"],
+         {"energies": [-1e308, 1e308], "populations": [0.5, 0.5]}, 1, "span"),
+        # the variance (1e200 / 2)^2 is inf in floats
+        (["asymptotic", "--delta", "0.1", "--expansion"],
+         {"energies": [0, 1e200], "populations": [0.5, 0.5]}, 0, "inf"),
+        # a zero Gibbs weight meets an infinite squared deviation
+        (["asymptotic", "--delta", "0.1"],
+         {"energies": [0, 1e200], "populations": [1.0, 0.0]}, 2, "bisection"),
+        (["single"], {"energies": [0, 1], "populations": [1e308, 1e308]}, 1,
+         "state trace inf+0j differs from 1"),
+        (["single"], {"energies": [0, 1], "rho_re": [[0.5, 1e308], [-1e308, 0.5]]}, 1,
+         "state is not Hermitian: max deviation inf"),
+    ], ids=["single-span", "asymptotic-span", "variance-inf", "variance-zero-weight",
+            "trace-overflow", "hermitian-overflow"])
+    def test_one_strict_report_and_nothing_on_stderr(self, capsys, tmp_path, argv, doc,
+                                                     status, found):
+        path = write_json(tmp_path / "extreme.json", doc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([argv[0], path, *argv[1:]])
+        captured = capsys.readouterr()
+        assert code == status and captured.err == ""
+        report = json.loads(captured.out, parse_constant=_reject_constant)
+        assert report["status"] == status
+        if status == 0:
+            assert report["results"]["expansion"]["energy_variance"] == found
+        else:
+            assert found in report["error"]

@@ -208,11 +208,32 @@ class TestEnergyVariance:
         got = gibbs_by_beta([0.0, 1.0, 2.0], 0.0).energy_variance
         assert got == pytest.approx(2.0 / 3.0, rel=1e-12)
 
+    def test_an_overflowing_square_is_inf_quietly(self):
+        # (1e200 / 2)^2 overflows; a warning would fail the test
+        assert gibbs_by_beta([0.0, 1e200], 0.0).energy_variance == math.inf
+
+    def test_a_zero_weight_adds_nothing(self):
+        # 0 * inf would be NaN, and max(0, NaN) reads 0
+        e = np.array([0.0, 1e200, 2e200])
+        spread = thermal._result_from_populations(e, 0.0, np.array([0.5, 0.5, 0.0]))
+        assert spread.energy_variance == math.inf
+        ground = thermal._result_from_populations(e, 0.0, np.array([1.0, 0.0, 0.0]))
+        assert ground.energy_variance == 0.0
+
 
 class TestQuantumSystem:
     def test_rejects_unsorted_energies(self):
         with pytest.raises(ValidationError):
             diag_system([1.0, 0.0], [0.5, 0.5])
+
+    def test_rejects_an_infinite_energy_span(self):
+        # each level is finite but e_1 - e_0 overflows
+        for energies in ([-1e308, 1e308], [-1e308, 0.0, 1e308]):
+            with pytest.raises(ValidationError, match="span"):
+                thermal.check_energy_levels(energies)
+            with pytest.raises(ValidationError, match="span"):
+                diag_system(energies, np.ones(len(energies)) / len(energies))
+        assert thermal.check_energy_levels([-8e307, 8e307]).tolist() == [-8e307, 8e307]
 
     def test_rejects_non_state(self):
         with pytest.raises(ValidationError):
