@@ -305,10 +305,8 @@ def cmd_qutrit_catalyst(args) -> tuple[dict, list, str]:
         system = QuantumSystem(
             energies=catalysis.QUTRIT_ENERGIES, rho=catalysis.qutrit_state(args.lam, args.beta)
         )
-        rows = []
-        for n in range(1, args.copies + 1):
-            pair = temperatures.tensor_power_effective(system, n)
-            rows.append((float(n), pair.beta_c, pair.beta_h))
+        pairs = temperatures.tensor_power_pairs(system, args.copies).tolist()
+        rows = [(float(n), beta_c, beta_h) for n, (beta_c, beta_h) in enumerate(pairs, 1)]
         results = {"copies": [list(r) for r in rows]}
         if args.out:
             _write_csv(args.out, ("n", "beta_c", "beta_h"), rows)
@@ -337,9 +335,9 @@ def cmd_qutrit_catalyst(args) -> tuple[dict, list, str]:
 
 
 class _Parser(argparse.ArgumentParser):
-    # usage problems are input errors (exit 1), not solver failures
+    # usage problems are input errors (exit 1), reported like any other
     def error(self, message):
-        self.exit(1, f"{self.prog}: error: {message}\n")
+        raise ValidationError(message)
 
 
 @functools.cache
@@ -399,20 +397,22 @@ def _echo_params(args: argparse.Namespace) -> dict:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    # parsing names the subcommand in args before it can fail on its options
+    args = argparse.Namespace(command=None)
+    params = {}
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    report = {"command": args.command, "params": _echo_params(args)}
-    try:
+        build_parser().parse_args(argv, args)
+        params = _echo_params(args)
         results, warnings, digest = _COMMANDS[args.command](args)
+    except SystemExit as exc:  # -h printed its help
+        return int(exc.code or 0)
     except ValidationError as exc:
-        report.update(error=str(exc), status=1)
+        report = {"error": str(exc), "status": 1}
     except SolverError as exc:
-        report.update(error=str(exc), status=2)
+        report = {"error": str(exc), "status": 2}
     else:
-        report.update(input_digest=digest, results=results, warnings=warnings, status=0)
+        report = {"input_digest": digest, "results": results, "warnings": warnings, "status": 0}
+    report.update(command=args.command, params=params)
     try:
         _emit(report)
     except BrokenPipeError:

@@ -434,13 +434,6 @@ def simulated_protocol_heat(
     return float(np.real(np.trace(h_b @ (sigma_b - gamma_b))))
 
 
-def random_diagonal_system(rng: np.random.Generator, dim: int) -> QuantumSystem:
-    """Random full-rank diagonal system with well-separated energy levels."""
-    energies = np.sort(rng.uniform(0.0, 2.0, dim)) + 0.05 * np.arange(dim)
-    populations = rng.dirichlet(np.ones(dim))
-    return QuantumSystem(energies=energies, rho=np.diag(populations).astype(complex))
-
-
 @dataclass(frozen=True)
 class EquivalenceReport:
     cases: int
@@ -475,25 +468,27 @@ def equivalence_trials(
     for start in range(0, n_systems, chunk):
         drawn = []
         for k in range(start, min(start + chunk, n_systems)):
-            system = random_diagonal_system(rng, dims[k % len(dims)])
+            d = dims[k % len(dims)]
+            # full rank, with well-separated ascending energy levels
+            energies = np.sort(rng.uniform(0.0, 2.0, d)) + 0.05 * np.arange(d)
+            populations = rng.dirichlet(np.ones(d))
             baths = [float(rng.uniform(-3.0, 3.0)) for _ in range(baths_per_system)]
-            drawn.append((system, baths))
+            drawn.append((energies, populations, baths))
         for d in dict.fromkeys(dims):
-            group = [(system, baths) for system, baths in drawn if system.dim == d and baths]
+            group = [draw for draw in drawn if draw[0].size == d and draw[2]]
             if not group:
                 continue
             if d > ORACLE_DIM_CAP:
                 raise ValidationError(f"oracle dimension cap is {ORACLE_DIM_CAP}, got {d}")
-            e = np.repeat([system.energies for system, _ in group], baths_per_system, axis=0)
-            p = np.repeat([system.populations for system, _ in group], baths_per_system, axis=0)
-            p = np.maximum(p, 0.0)
-            beta = np.array([b for _, baths in group for b in baths])
+            e = np.repeat([energies for energies, _, _ in group], baths_per_system, axis=0)
+            p = np.repeat([populations for _, populations, _ in group], baths_per_system, axis=0)
+            beta = np.array([b for _, _, baths in group for b in baths])
             value, _, certificate = thermomajorization_extremes(e, p, beta)
             residual = max(residual, float(certificate.max()))
             can_cool, can_heat = _decided(e, p, value)
             verdicts = iter(zip(can_cool.tolist(), can_heat.tolist()))
-            for system, baths in group:
-                pair = temperatures.single_copy_effective(system)
+            for energies, populations, baths in group:
+                pair = temperatures.extremal_pair(energies, populations)
                 for beta_bath in baths:
                     if next(verdicts) != predicted_verdicts(pair, beta_bath):
                         disagreements += 1

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -228,78 +227,77 @@ def single_copy_effective(system: QuantumSystem) -> EffectiveTempPair:
     return extremal_pair(system.energies, system.populations)
 
 
-def _energy_groups(energies: np.ndarray, log_pops: np.ndarray, n: int):
-    """Cluster n-fold energy sums and track extremal log-populations per sum.
+def tensor_power_pairs(system: QuantumSystem, copies: int) -> np.ndarray:
+    """(beta_c, beta_h) of n = 1..copies copies processed collectively, one row per n.
 
-    Products of populations and sums of energies depend only on the multiset
-    of chosen levels, so enumerating multisets instead of all d**n indices is
-    exact and keeps n <= 6 cheap.  Returns the arrays (energy, max_log_p,
-    min_log_p, has_zero), one entry per group in ascending energy, with
-    max/min over the positive-population multi-indices only (-inf/+inf when
-    every one vanishes).
-    """
-    raw = []
-    for combo in combinations_with_replacement(range(len(energies)), n):
-        esum = 0.0
-        lsum = 0.0
-        for idx in combo:
-            esum += energies[idx]
-            lsum += log_pops[idx]
-        raw.append((esum, lsum))
-    raw.sort(key=lambda t: t[0])
-    esum, lsum = map(np.array, zip(*raw))
-    tol = _GROUP_RTOL * max(1.0, n * float(np.abs(energies).max()))
-    # a group starts at the first sum more than tol above the group's first
-    starts, first = [], -math.inf
-    for k, s in enumerate(esum.tolist()):
-        if s - first > tol:
-            starts.append(k)
-            first = s
-    empty = lsum == -math.inf
-    return (esum[starts], np.maximum.reduceat(lsum, starts),
-            np.minimum.reduceat(np.where(empty, math.inf, lsum), starts),
-            np.logical_or.reduceat(empty, starts))
-
-
-def tensor_power_effective(system: QuantumSystem, n: int) -> EffectiveTempPair:
-    """Effective temperatures of n independent copies processed collectively.
-
-    The spectrum of A^n pairs product populations p_{i1}...p_{in} with summed
-    energies; the extremes are found from per-energy extremal populations
-    without materializing the d**n-dimensional state.  The pairs of energy
+    The spectrum of A^n pairs product populations with summed energies; both
+    depend only on the multiset of chosen levels, and the multisets of n
+    levels are those of n - 1 levels each extended by a level at or above
+    its last, so one pass grows every row from the one before without
+    materializing the d**n-dimensional state.  The pairs of a row's energy
     groups play the part of the level pairs of one copy.
     """
-    if n < 1:
-        raise ValidationError(f"copy count must be >= 1, got {n}")
+    if copies < 1:
+        raise ValidationError(f"copy count must be >= 1, got {copies}")
     d = system.dim
-    multisets = math.comb(n + d - 1, d - 1)
+    multisets = math.comb(copies + d - 1, d - 1)  # the largest row's
     if multisets > TENSOR_POWER_CAP:
         raise ValidationError(
-            f"{multisets} multisets of {n} copies of {d} levels exceed the "
+            f"{multisets} multisets of {copies} copies of {d} levels exceed the "
             f"tensor-power cap {TENSOR_POWER_CAP}"
         )
     e = system.energies
     p = _clean_populations(system.populations)
     logp = np.where(p > 0.0, np.log(np.where(p > 0.0, p, 1.0)), -math.inf)
-    energy, top, bottom, has_zero = _energy_groups(e, logp, n)
-    if energy.size < 2:
-        raise ValidationError(
-            "effective temperatures are undefined: all energy levels are degenerate"
-        )
-    low, high = _upper_pairs(energy.size)
-    gap = energy[high] - energy[low]
-    populated = top > -math.inf
-    both = populated[low] & populated[high]
-    # without a pair of populated groups the starting -inf/+inf stand
-    beta_c = np.max((top[low] - bottom[high])[both] / gap[both], initial=-math.inf)
-    beta_h = np.min((bottom[low] - top[high])[both] / gap[both], initial=math.inf)
-    # a populated group below (above) one with an empty multi-index makes
-    # beta_c = +inf (beta_h = -inf)
-    if (populated[low] & has_zero[high]).any():
-        beta_c = math.inf
-    if (has_zero[low] & populated[high]).any():
-        beta_h = -math.inf
-    return EffectiveTempPair(beta_c=float(beta_c), beta_h=float(beta_h))
+    levels = np.arange(d)
+    # energy sum, log-population sum and last level of each multiset of a row;
+    # each sum starts at 0.0 and adds its levels in ascending order
+    esum, lsum, last = np.zeros(1), np.zeros(1), np.zeros(1, dtype=int)
+    out = np.empty((copies, 2))
+    for n in range(1, copies + 1):
+        rows, last = np.nonzero(last[:, None] <= levels)
+        esum = esum[rows] + e[last]
+        lsum = lsum[rows] + logp[last]
+        order = np.argsort(esum, kind="stable")
+        energies, logs = esum[order], lsum[order]
+        # a group starts at the first sum more than tol above the group's
+        # first; a sum equal to the one before it never starts one
+        tol = _GROUP_RTOL * max(1.0, n * float(np.abs(e).max()))
+        distinct = np.flatnonzero(np.diff(energies, prepend=-math.inf))
+        starts, first = [], -math.inf
+        for k, s in zip(distinct.tolist(), energies[distinct].tolist()):
+            if s - first > tol:
+                starts.append(k)
+                first = s
+        if len(starts) < 2:
+            raise ValidationError(
+                "effective temperatures are undefined: all energy levels are degenerate"
+            )
+        # each group's extremal log-populations over its populated multisets
+        empty = logs == -math.inf
+        top = np.maximum.reduceat(logs, starts)
+        bottom = np.minimum.reduceat(np.where(empty, math.inf, logs), starts)
+        has_zero = np.logical_or.reduceat(empty, starts)
+        low, high = _upper_pairs(len(starts))
+        gap = energies[starts][high] - energies[starts][low]
+        populated = top > -math.inf
+        both = populated[low] & populated[high]
+        # without a pair of populated groups the starting -inf/+inf stand; a
+        # populated group below (above) one with an empty multiset makes
+        # beta_c = +inf (beta_h = -inf)
+        out[n - 1] = (np.max((top[low] - bottom[high])[both] / gap[both], initial=-math.inf),
+                      np.min((bottom[low] - top[high])[both] / gap[both], initial=math.inf))
+        if (populated[low] & has_zero[high]).any():
+            out[n - 1, 0] = math.inf
+        if (has_zero[low] & populated[high]).any():
+            out[n - 1, 1] = -math.inf
+    return out
+
+
+def tensor_power_effective(system: QuantumSystem, n: int) -> EffectiveTempPair:
+    """Effective temperatures of n copies processed collectively: the last table row."""
+    beta_c, beta_h = tensor_power_pairs(system, n)[-1].tolist()
+    return EffectiveTempPair(beta_c=beta_c, beta_h=beta_h)
 
 
 @dataclass(frozen=True)

@@ -146,8 +146,9 @@ def gibbs_by_energy(energies, target_energy: float) -> GibbsSolveResult:
 
     The map is strictly decreasing, so a bracket is expanded geometrically
     (into negative beta when the target exceeds the infinite-temperature
-    mean) and then bisected to width 1e-13 or machine stall.  The result is
-    accepted only if |mean - target| <= 1e-12 * max(1, |target|).
+    mean) and then bisected to width 1e-13, and on past it while the
+    midpoint's residual exceeds 1e-12 * max(1, |target|), or to machine
+    stall.  The result is accepted only if it meets that residual bound.
 
     Raises
     ------
@@ -190,21 +191,24 @@ def gibbs_by_energy(energies, target_energy: float) -> GibbsSolveResult:
             lo *= 2.0
             if lo < -1e300:
                 raise SolverError("bracket expansion overflow")
-    # invariant: mean(lo) >= target >= mean(hi)
+    bound = ENERGY_RTOL * max(1.0, abs(target))
+    # invariant: mean(lo) >= target >= mean(hi); past the width tolerance a
+    # wide span bisects on while the midpoint misses the residual bound
     for _ in range(BISECT_MAX_ITER):
-        if hi - lo <= BISECT_WIDTH_TOL:
-            break
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if mean(mid) > target:
+        m = mean(mid)
+        if hi - lo <= BISECT_WIDTH_TOL and abs(m - target) <= bound:
+            break
+        if m > target:
             lo = mid
         else:
             hi = mid
     beta = 0.5 * (lo + hi)
     result = gibbs_by_beta(e, beta)
     residual = abs(result.mean_energy - target)
-    if residual > ENERGY_RTOL * max(1.0, abs(target)):
+    if residual > bound:
         raise SolverError(
             f"bisection stalled with energy residual {residual:.3e} at beta={beta:.12g}"
         )

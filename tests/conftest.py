@@ -30,6 +30,11 @@ def diag_system(energies, populations) -> QuantumSystem:
     )
 
 
+def random_diagonal_system(rng: np.random.Generator, dim: int) -> QuantumSystem:
+    """Random full-rank diagonal system with well-separated energy levels."""
+    return diag_system(random_energies(rng, dim), rng.dirichlet(np.ones(dim)))
+
+
 def inject_coherences(rng: np.random.Generator, rho_diag: np.ndarray, scale: float = 0.9):
     """Add off-diagonal Hermitian noise without touching the diagonal bits.
 

@@ -423,6 +423,17 @@ class TestQutritCatalyst:
         assert np.all(np.diff(rows[:, 1]) >= -1e-9)  # beta_c broadens
         assert np.all(np.diff(rows[:, 2]) <= 1e-9)  # beta_h broadens
 
+    def test_copies_cap_names_the_requested_count(self):
+        # the cap is checked before any row is computed, so this is quick
+        proc = subprocess.run(
+            [sys.executable, "-m", "efftemp", "qutrit-catalyst", "--lambda", "0.5",
+             "--beta", "0.6", "--copies", "1413"],
+            capture_output=True, text=True, timeout=5,
+        )
+        assert (proc.returncode, proc.stderr) == (1, "")
+        assert json.loads(proc.stdout)["error"] == (
+            "1000405 multisets of 1413 copies of 3 levels exceed the tensor-power cap 1000000")
+
     def test_sweep_and_copies_conflict(self, capsys):
         code, report = run_cli(
             capsys, "qutrit-catalyst", "--sweep", "--copies", "3"
@@ -455,11 +466,36 @@ class TestQutritCatalyst:
 
 
 class TestUsageAndEntryPoint:
-    def test_unknown_flag_exits_1(self, capsys):
-        assert main(["single", "--bogus"]) == 1
+    @pytest.mark.parametrize("argv,command,error", [
+        ([], None, "the following arguments are required: command"),
+        (["bogus"], None, "argument command: invalid choice: 'bogus'"),
+        (["single", "--bogus"], "single", "the following arguments are required: path"),
+        (["single", "q.json", "--bogus"], "single", "unrecognized arguments: --bogus"),
+        (["oracle", "q.json"], "oracle", "the following arguments are required: --beta-bath"),
+        (["qutrit-catalyst", "--copies", "1.5"], "qutrit-catalyst",
+         "argument --copies: invalid int value: '1.5'"),
+    ])
+    def test_usage_error_prints_one_report(self, capsys, argv, command, error):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.err == ""
+        report = json.loads(captured.out)
+        assert set(report) == {"command", "params", "error", "status"}
+        assert (report["command"], report["params"], report["status"]) == (command, {}, 1)
+        assert report["error"].startswith(error)
 
-    def test_missing_subcommand_exits_1(self, capsys):
-        assert main([]) == 1
+    def test_usage_error_in_a_fresh_process(self, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-m", "efftemp", "oracle", str(tmp_path / "q.json")],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert (proc.returncode, proc.stderr) == (1, "")
+        assert json.loads(proc.stdout)["command"] == "oracle"
+
+    def test_help_is_not_a_report(self, capsys):
+        assert main(["oracle", "-h"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: efftemp oracle") and captured.err == ""
 
     def test_one_parser_serves_a_sequence_like_fresh_processes(self, capsys, tmp_path):
         doc = {"energies": [0, 1, 2], "populations": [0.5, 0.3, 0.2]}

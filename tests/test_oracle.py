@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import diag_system, random_energies
+from conftest import diag_system, random_diagonal_system, random_energies
 from efftemp import oracle
 from efftemp.linalg import SolverError, ValidationError
 from efftemp.oracle import (
@@ -379,7 +379,7 @@ class TestThermomajorizationExtremes:
         rng = np.random.default_rng(6500)
         emptying = np.random.default_rng(6700)
         for k in range(200):
-            system = oracle.random_diagonal_system(rng, 2 + k % 5)
+            system = random_diagonal_system(rng, 2 + k % 5)
             p = system.populations.copy()
             p[emptying.choice(p.size, 1 + k % (p.size - 1), replace=False)] = 0.0
             magnitudes = rng.uniform(10.0, 40.0, 2)
@@ -557,7 +557,7 @@ def looped_trials(n_systems, baths_per_system, seed, dims):
     cases = disagreements = 0
     residual = 0.0
     for k in range(n_systems):
-        system = oracle.random_diagonal_system(rng, dims[k % len(dims)])
+        system = random_diagonal_system(rng, dims[k % len(dims)])
         pair = single_copy_effective(system)
         for _ in range(baths_per_system):
             beta_bath = float(rng.uniform(-3.0, 3.0))

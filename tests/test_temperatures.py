@@ -1,5 +1,5 @@
 import math
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import numpy as np
 import pytest
@@ -260,12 +260,43 @@ class TestSpectrumAgainstReference:
         assert hex_entries(entries) == hex_entries(reference_entries(energies, populations))
 
 
+def enumerated_groups(energies, log_pops, n):
+    """Energy groups of n copies by enumerating every multiset of levels.
+
+    Each multiset's sums start at 0.0 and add its levels in ascending order;
+    the sums are sorted, and a group starts at the first sum more than
+    _GROUP_RTOL * max(1, n max|e|) above the group's first.  Returns (energy,
+    max_log_p, min_log_p, has_zero), one entry per group in ascending energy,
+    with max/min over the positive-population multisets only.
+    """
+    raw = []
+    for combo in combinations_with_replacement(range(len(energies)), n):
+        esum = 0.0
+        lsum = 0.0
+        for idx in combo:
+            esum += energies[idx]
+            lsum += log_pops[idx]
+        raw.append((esum, lsum))
+    raw.sort(key=lambda t: t[0])
+    esum, lsum = map(np.array, zip(*raw))
+    tol = temperatures._GROUP_RTOL * max(1.0, n * float(np.abs(energies).max()))
+    starts, first = [], -math.inf
+    for k, s in enumerate(esum.tolist()):
+        if s - first > tol:
+            starts.append(k)
+            first = s
+    empty = lsum == -math.inf
+    return (esum[starts], np.maximum.reduceat(lsum, starts),
+            np.minimum.reduceat(np.where(empty, math.inf, lsum), starts),
+            np.logical_or.reduceat(empty, starts))
+
+
 def loop_tensor_extremes(system, n):
     """(beta_c, beta_h) by the O(G^2) loop over pairs of energy groups: the reference."""
     p = np.where(system.populations <= temperatures.ZERO_POPULATION, 0.0, system.populations)
     with np.errstate(divide="ignore"):
         logp = np.where(p > 0.0, np.log(np.where(p > 0.0, p, 1.0)), -math.inf)
-    energy, top, bottom, has_zero = temperatures._energy_groups(system.energies, logp, n)
+    energy, top, bottom, has_zero = enumerated_groups(system.energies, logp, n)
     beta_c, beta_h = -math.inf, math.inf
     for a in range(len(energy)):
         for b in range(a + 1, len(energy)):
@@ -278,6 +309,21 @@ def loop_tensor_extremes(system, n):
             if has_zero[a] and top[b] > -math.inf:
                 beta_h = -math.inf
     return float(beta_c).hex(), float(beta_h).hex()
+
+
+def table_ladder(rng, dim, ladder):
+    """Energies of one of the table test ladders."""
+    if ladder == "integer":
+        return np.arange(float(dim))
+    if ladder == "generic":
+        return random_energies(rng, dim)
+    if ladder == "repeated":
+        return np.floor(np.linspace(0.0, dim / 2, dim))
+    if ladder == "negative_zero":
+        return np.concatenate([[-0.0], 0.5 + np.arange(dim - 1.0)])
+    # near-repeated: a level 1e-10 or 1e-13 above the first excited one
+    gap = {"near_1e-10": 1e-10, "near_1e-13": 1e-13}[ladder]
+    return np.sort(np.append(np.arange(dim - 1.0), 1.0 + gap))
 
 
 class TestTensorPowerAgainstLoop:
@@ -305,6 +351,46 @@ class TestTensorPowerAgainstLoop:
             assert (pair.beta_c, pair.beta_h) == expected
             assert (float(pair.beta_c).hex(), float(pair.beta_h).hex()) == loop_tensor_extremes(
                 system, n)
+
+
+class TestTensorPowerTable:
+    @pytest.mark.parametrize("ladder", ["integer", "generic", "repeated", "near_1e-10",
+                                        "near_1e-13", "negative_zero"])
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_every_row_matches_the_enumeration(self, rng, dim, ladder):
+        energies = table_ladder(rng, dim, ladder)
+        copies = 30 if dim <= 3 else 8
+        for kind in ("generic", "empty"):
+            p = rng.dirichlet(np.ones(dim))
+            if kind == "empty":
+                p[dim // 2] = 0.0
+                p = p / p.sum()
+            system = diag_system(energies, p)
+            table = temperatures.tensor_power_pairs(system, copies)
+            assert table.shape == (copies, 2)
+            for n, (beta_c, beta_h) in enumerate(table.tolist(), 1):
+                assert (beta_c.hex(), beta_h.hex()) == loop_tensor_extremes(system, n)
+
+    def test_last_row_is_the_effective_pair(self, rng):
+        system = diag_system(random_energies(rng, 3), rng.dirichlet(np.ones(3)))
+        table = temperatures.tensor_power_pairs(system, 9)
+        for n in (1, 4, 9):
+            pair = tensor_power_effective(system, n)
+            assert (pair.beta_c, pair.beta_h) == tuple(table[n - 1])
+
+    def test_cap_checked_on_the_requested_count(self):
+        from efftemp.catalysis import QUTRIT_ENERGIES, qutrit_state
+
+        system = QuantumSystem(energies=QUTRIT_ENERGIES, rho=qutrit_state(0.5, 0.6))
+        # the multisets of the requested count, the largest row, meet the cap
+        with pytest.raises(ValidationError, match="^1000405 multisets of 1413 copies"):
+            temperatures.tensor_power_pairs(system, 1413)
+        with pytest.raises(ValidationError, match="^1004653 multisets of 1416 copies"):
+            temperatures.tensor_power_pairs(system, 1416)
+
+    def test_copy_count_must_be_positive(self):
+        with pytest.raises(ValidationError, match=">= 1"):
+            temperatures.tensor_power_pairs(diag_system([0.0, 1.0], [0.5, 0.5]), 0)
 
 
 class TestTensorPower:

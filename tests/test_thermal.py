@@ -59,6 +59,27 @@ class TestGibbsByEnergy:
         r = gibbs_by_energy([0.0, 0.3, 1.1, 2.0], 0.777)
         assert abs(r.mean_energy - 0.777) <= 1e-12
 
+    @pytest.mark.parametrize("exponent", [3, 4, 5, 6, 8, 10, 12, 16])
+    def test_wide_span_inverts(self, exponent):
+        # at these spans a bracket 1e-13 wide in beta still misses the energy
+        # residual bound, so the bisection must narrow it further
+        span = 10.0**exponent
+        target = 0.7 * span
+        r = gibbs_by_energy([0.0, span], target)
+        assert abs(r.mean_energy - target) <= thermal.ENERGY_RTOL * target
+        assert r.beta * span == pytest.approx(-math.log(7 / 3), rel=1e-9)
+
+    def test_residual_bound_on_wide_ladders(self):
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            dim = int(rng.integers(2, 9))
+            span = 10.0 ** rng.uniform(-2.0, 3.3)
+            e = np.sort(rng.uniform(0.0, 1.0, dim))
+            e = np.sort((e - e[0]) / (e[-1] - e[0]) * span + rng.uniform(-span, span))
+            target = float(rng.dirichlet(np.ones(dim)) @ e)
+            r = gibbs_by_energy(e, target)
+            assert abs(r.mean_energy - target) <= thermal.ENERGY_RTOL * max(1.0, abs(target))
+
     @pytest.mark.parametrize("target", [-0.1, 0.0, 1.0, 1.5])
     def test_bracket_violations(self, target):
         with pytest.raises(BracketError):
