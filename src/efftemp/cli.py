@@ -28,7 +28,7 @@ from .linalg import SolverError, ValidationError
 from .temperatures import AsymptoticRequest
 from .thermal import QuantumSystem
 
-CSV_FLOAT_FORMAT = "{:.12g}"
+CSV_FLOAT_FORMAT = "%.12g"
 SWEEP_GRID_POINTS = 41
 
 
@@ -47,13 +47,15 @@ def _has_bool(value) -> bool:
 
 
 def _floats(path: str, field: str, value) -> np.ndarray:
-    # numpy reads true/false as 1/0, which would let a boolean pass as a number
-    if _has_bool(value):
-        raise ValidationError(f"{path}: {field} must be numeric, not boolean")
     try:
-        return np.asarray(value, dtype=float)
+        array = np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{path}: {field} must be numeric: {exc}")
+    # numpy reads true/false as 1/0, which would let a boolean pass as a
+    # number; a converted value nests at most 64 deep, so this check is shallow
+    if _has_bool(value):
+        raise ValidationError(f"{path}: {field} must be numeric, not boolean")
+    return array
 
 
 def load_system_file(path: str) -> tuple[QuantumSystem, str]:
@@ -65,7 +67,7 @@ def load_system_file(path: str) -> tuple[QuantumSystem, str]:
         raise ValidationError(f"cannot read {path}: {exc}")
     try:
         doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad syntax, encoding or nesting
         raise ValidationError(f"{path} is not valid JSON: {exc}")
     if not isinstance(doc, dict) or "energies" not in doc:
         raise ValidationError(f"{path}: expected an object with an 'energies' field")
@@ -118,11 +120,14 @@ def _emit(report: dict) -> None:
 
 
 def _write_csv(path: str, header: tuple[str, ...], rows) -> None:
+    row_format = ",".join([CSV_FLOAT_FORMAT] * len(header))
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(CSV_FLOAT_FORMAT.format(float(v)) for v in row))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    lines += [row_format % tuple(row) for row in np.asarray(rows, dtype=float).tolist()]
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}")
 
 
 def _matrix_fields(m: np.ndarray) -> dict:

@@ -107,9 +107,14 @@ def _pair_table(e: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return low[distinct], high[distinct], gap[distinct]
 
 
-def _exact_betas(ratio: np.ndarray, gap: np.ndarray) -> np.ndarray:
-    """math.log(ratio) / gap entry by entry: the exact virtual temperatures."""
-    return np.array(list(map(math.log, ratio.tolist())), dtype=float) / gap
+def _pair_betas(p: np.ndarray, low: np.ndarray, high: np.ndarray, gap: np.ndarray) -> np.ndarray:
+    """log(p_i / p_j) / (e_j - e_i) of the pairs (low, high) along the last axis of p.
+
+    The one evaluation of the virtual temperatures.  An empty upper (lower)
+    level gives +inf (-inf); two empty levels give NaN.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.log(p[..., low] / p[..., high]) / gap
 
 
 def virtual_spectrum(system: QuantumSystem) -> VirtualTempSpectrum:
@@ -117,70 +122,30 @@ def virtual_spectrum(system: QuantumSystem) -> VirtualTempSpectrum:
 
     Coherences never enter: the populations are read from the dephased state
     in the energy eigenbasis.  Degenerate pairs (equal energies) carry no
-    virtual temperature and are excluded.
+    virtual temperature and are excluded, as are pairs of two empty levels.
+    Every entry comes from `_pair_betas`, as in `extremal_pairs`.
     """
-    p = _clean_populations(system.populations)
     low, high, gap = _pair_table(system.energies)
-    # the quotient extremal_pairs screens: an empty upper (lower) level gives
-    # inf (0), so beta = +inf (-inf); two empty levels give NaN, and are omitted
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = p[low] / p[high]
-    beta = np.where(ratio == 0.0, -math.inf, ratio)
-    finite = np.isfinite(beta)
-    beta[finite] = _exact_betas(ratio[finite], gap[finite])
+    beta = _pair_betas(_clean_populations(system.populations), low, high, gap)
     kept = ~np.isnan(beta)
     return VirtualTempSpectrum(
         entries=tuple(zip(low[kept].tolist(), high[kept].tolist(), beta[kept].tolist())))
 
 
 # byte budget of one chunk of rows in extremal_pairs, which holds at most
-# three float64 (rows, pairs) work arrays at once
+# three float64 (rows, pairs) arrays at once: the two gathered population
+# columns and their quotient
 PAIR_CHUNK_BYTES = 1 << 19
-# Width of the log screen in extremal_pairs, in units of the spacing (ulp) of
-# the screened extreme.  An entry's exact value is b1 = fl(L1 / gap) with
-# L1 = math.log(r); the screen computes b2 = fl(L2 / gap) with L2 = np.log(r),
-# from the same ratio r and the same gap.  glibc's log is within 1 ulp of
-# log(r), and numpy's float64 log within 1 ulp by its accuracy tests (numpy
-# 2.4 on x86-64 differs from math.log by one ulp on 0.01-0.2% of random
-# inputs, never by more); allow 4.  An ulp is at most 2**-52 of the value, so
-# |L1 - L2| <= 5 * 2**-52 |L|, and the two divisions add at most 2**-53 each:
-# |b1 - b2| <= c |b| with c = 6 * 2**-52, and b1, b2 share their sign.  The
-# entry that attains the exact maximum M1 then screens at >= M1 - c|M1|, and
-# the screened maximum M2 <= M1 + c|M1|, so that entry lies within
-# 2c|M2| (1 + O(c)) = 12 * 2**-52 |M2| of M2 (likewise for the minimum).  The
-# spacing of M2 is at least 2**-53 |M2|, so 64 spacings cover at least
-# 32 * 2**-52 |M2|, over twice the bound; they also cover the two
-# half-spacing roundings of a subnormal quotient, where the relative bound
-# fails.  Infinite entries come from empty levels, never from a log.
-SCREEN_ULPS = 64
-
-
-def _exact_extreme(beta, chunk, low, high, gap, screened, reduce) -> np.ndarray:
-    """Recompute with math.log every finite entry near a row's screened extreme.
-
-    `reduce` is np.maximum or np.minimum; rows whose screened extreme is
-    infinite or NaN keep it unchanged (their width is NaN, so nothing is near).
-    """
-    out = screened.copy()
-    width = SCREEN_ULPS * np.spacing(np.abs(screened))
-    dist = beta - screened[:, None]
-    near = np.abs(dist, out=dist) <= width[:, None]
-    rows, cols = np.nonzero(near)
-    ratio = chunk[rows, low[cols]] / chunk[rows, high[cols]]
-    exact = _exact_betas(ratio, gap[cols])
-    out[rows] = exact
-    reduce.at(out, rows, exact)
-    return out
 
 
 def extremal_pairs(energies: np.ndarray, populations: np.ndarray) -> np.ndarray:
     """(beta_c, beta_h) of every row of an (S, d) stack of populations.
 
     Returns an (S, 2) array equal bit for bit to the max and min of the
-    `virtual_spectrum` entries of each row.  All pairs are screened at once
-    with np.log; the entries within SCREEN_ULPS of each row's extremes are
-    recomputed by `_exact_betas`, the spectrum's arithmetic.  Rows are
-    processed in chunks of about PAIR_CHUNK_BYTES.
+    `virtual_spectrum` entries of each row: both take their entries from
+    `_pair_betas`, and fmax/fmin skip the NaN of two empty levels as the
+    spectrum omits that pair.  Rows are processed in chunks of about
+    PAIR_CHUNK_BYTES.
 
     Unchecked: `energies` must be ascending, each row a valid state's diagonal.
     """
@@ -195,17 +160,9 @@ def extremal_pairs(energies: np.ndarray, populations: np.ndarray) -> np.ndarray:
     per_chunk = max(1, PAIR_CHUNK_BYTES // (3 * 8 * gap.size))
     for start in range(0, p.shape[0], per_chunk):
         stop = start + per_chunk
-        chunk = p[start:stop]
-        # an empty upper (lower) level gives +inf (-inf); two empty levels give
-        # NaN, which fmax/fmin skip as the spectrum omits the pair
-        with np.errstate(divide="ignore", invalid="ignore"):
-            beta = chunk[:, low]
-            beta /= chunk[:, high]
-            np.log(beta, out=beta)
-            beta /= gap
-            for col, screen, reduce in ((0, np.fmax, np.maximum), (1, np.fmin, np.minimum)):
-                out[start:stop, col] = _exact_extreme(
-                    beta, chunk, low, high, gap, screen.reduce(beta, axis=1), reduce)
+        beta = _pair_betas(p[start:stop], low, high, gap)
+        out[start:stop, 0] = np.fmax.reduce(beta, axis=1)
+        out[start:stop, 1] = np.fmin.reduce(beta, axis=1)
     if np.isnan(out).any():
         raise ValidationError(
             "effective temperatures are undefined: all energy levels are degenerate"

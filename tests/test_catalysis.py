@@ -174,7 +174,7 @@ class TestTimeSeries:
             joint = (v * phases) @ joint0_v @ (v * phases).conj().T
             sigma_a = linalg.partial_trace(joint, (fock, 2), keep="first")
             sigma_r = linalg.partial_trace(joint, (fock, 2), keep="second")
-            # the per-entry math.log spectrum, not the batched core
+            # the per-state spectrum, not the batched core
             betas_a = virtual_spectrum(QuantumSystem(config.cavity_energies, sigma_a)).betas()
             betas_r = virtual_spectrum(QuantumSystem(config.atom_energies, sigma_r)).betas()
             expected = (

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import random_density
+from efftemp import cli
 from efftemp.cli import build_parser, main
 from efftemp.thermal import gibbs_by_beta, gibbs_populations
 
@@ -589,3 +590,85 @@ class TestExtremeMagnitudesAreQuiet:
             assert report["results"]["expansion"]["energy_variance"] == found
         else:
             assert found in report["error"]
+
+
+def nested_populations(depth):
+    return (b'{"energies": [0, 1], "populations": ' + b"[" * depth + b"0.5" + b"]" * depth
+            + b"}")
+
+
+CSV_WRITERS = {
+    "single": ["single", "{state}"],
+    "jc": ["jc", "--fock", "2", "--steps", "10"],
+    "sweep": ["qutrit-catalyst", "--beta", "0.3", "--sweep"],
+    "copies": ["qutrit-catalyst", "--lambda", "0.5", "--copies", "4"],
+}
+
+
+def writer_argv(tmp_path, writer):
+    doc = {"energies": [0, 0.4, 1.3], "populations": [0.5, 0.3, 0.2]}
+    state = write_json(tmp_path / "q.json", doc)
+    return [state if arg == "{state}" else arg for arg in CSV_WRITERS[writer]]
+
+
+def one_failed_report(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    report = json.loads(captured.out, parse_constant=_reject_constant)
+    assert report["status"] == 1
+    return report["error"]
+
+
+class TestFileFaultsAreReports:
+    @pytest.mark.parametrize("target", ["missing-dir", "directory"])
+    @pytest.mark.parametrize("writer", list(CSV_WRITERS))
+    def test_unwritable_out(self, capsys, tmp_path, writer, target):
+        out = tmp_path / "missing" / "x.csv" if target == "missing-dir" else tmp_path
+        error = one_failed_report(capsys, [*writer_argv(tmp_path, writer), "--out", str(out)])
+        assert error.startswith(f"cannot write {out}: ")
+
+    # json's decoder and numpy's 64-dimension cap each stop a deep nesting;
+    # which one stops 990 levels depends on the interpreter's recursion limit
+    @pytest.mark.parametrize("raw,found", [
+        (b"\xff\xff\xff", "is not valid JSON"),
+        (nested_populations(500), "populations must be numeric"),
+        (nested_populations(990), "is not valid JSON|populations must be numeric"),
+        (nested_populations(100_000), "is not valid JSON"),
+    ], ids=["not-utf8", "nested-500", "nested-990", "nested-100000"])
+    def test_undecodable_input(self, capsys, tmp_path, raw, found):
+        path = tmp_path / "bad.json"
+        path.write_bytes(raw)
+        assert re.search(found, one_failed_report(capsys, ["single", str(path)]))
+
+
+def str_format_csv(header, rows):
+    """CSV text with each value formatted by str.format, one at a time."""
+    lines = [",".join(header)] + [",".join("{:.12g}".format(float(v)) for v in row) for row in rows]
+    return ("\n".join(lines) + "\n").encode()
+
+
+class TestCsvBytes:
+    def test_special_values(self, tmp_path):
+        rows = [(0.0, -0.0, math.inf), (-math.inf, math.nan, 5e-324),
+                (1e308, -1.2345678901234567e-7, 3), (2.2250738585072014e-308, 1 / 3, -7)]
+        out = tmp_path / "special.csv"
+        cli._write_csv(str(out), ("a", "b", "c"), rows)
+        assert out.read_bytes() == str_format_csv(("a", "b", "c"), rows)
+
+    @pytest.mark.parametrize("writer", list(CSV_WRITERS))
+    def test_writer_bytes_match_per_value_formatting(self, capsys, tmp_path, monkeypatch, writer):
+        tables = []
+        write_csv = cli._write_csv
+
+        def recording_write_csv(path, header, rows):
+            tables.append((path, header, rows))
+            write_csv(path, header, rows)
+
+        monkeypatch.setattr(cli, "_write_csv", recording_write_csv)
+        out = tmp_path / "table.csv"
+        assert main([*writer_argv(tmp_path, writer), "--out", str(out)]) == 0
+        capsys.readouterr()
+        [(path, header, rows)] = tables
+        assert path == str(out) and len(rows) > 1
+        assert out.read_bytes() == str_format_csv(header, rows)

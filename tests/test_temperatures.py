@@ -122,8 +122,12 @@ class TestSingleCopy:
             assert pair.beta_h <= pair.beta_c
 
 
-def reference_entries(energies, populations):
-    """(i, j, beta_ij) by a per-pair math.log loop: the independent reference."""
+def reference_entries(energies, populations, log=np.log):
+    """(i, j, beta_ij) by a per-pair loop over `log` of each quotient.
+
+    numpy's float64 log is elementwise, so its scalar call gives the bits of
+    the program's array call; math.log is the independent reference.
+    """
     e = np.asarray(energies, dtype=float)
     p = np.asarray(populations, dtype=float)
     p = np.where(p <= temperatures.ZERO_POPULATION, 0.0, p)
@@ -139,7 +143,7 @@ def reference_entries(energies, populations):
             elif p[i] == 0.0:
                 beta = -math.inf
             else:
-                beta = math.log(p[i] / p[j]) / gap
+                beta = log(p[i] / p[j]) / gap
             entries.append((i, j, beta))
     return entries
 
@@ -193,9 +197,9 @@ class TestExtremalPairs:
             assert tuple(pair) == spectrum_extremes(energies, row)
 
     # Gibbs rows on three levels, where each row's three entries lie within
-    # two ulps of one another and numpy's log misrounds one entry by one ulp
-    # (numpy 2.4 on x86-64): a screen that recomputes only the entries equal
-    # to the screened extreme returns the wrong entry's bits
+    # two ulps of one another and numpy's log differs from math.log by one
+    # ulp on one entry (numpy 2.4 on x86-64): the extremes must still be the
+    # bits of the spectrum's own entries
     NEAR_TIES = (
         (("0x1.7d44cde29f3f2p-1", "0x1.2315ef1a0f70dp+0", "0x1.9054d1536493ap+0"),
          ("0x1.25e5e9f6b4a86p-2", "0x1.5197160401bb8p-2", "0x1.88830005499c1p-2")),
@@ -206,7 +210,7 @@ class TestExtremalPairs:
     )
 
     @pytest.mark.parametrize("energies,populations", NEAR_TIES)
-    def test_screen_keeps_near_ties(self, energies, populations):
+    def test_near_tie_rows(self, energies, populations):
         e = np.array([float.fromhex(x) for x in energies])
         p = np.array([float.fromhex(x) for x in populations])
         assert tuple(extremal_pairs(e, p[None, :])[0]) == spectrum_extremes(e, p)
@@ -234,6 +238,18 @@ def hex_entries(entries):
     return [(i, j, float(b).hex()) for i, j, b in entries]
 
 
+def assert_within_four_ulps_of_math_log(energies, populations):
+    """Finite entries within 4 ulps of the math.log loop; the rest identical."""
+    got = virtual_spectrum(diag_system(energies, populations)).entries
+    want = reference_entries(energies, populations, log=math.log)
+    assert [(i, j) for i, j, _ in got] == [(i, j) for i, j, _ in want]
+    for (_, _, b), (_, _, w) in zip(got, want):
+        if math.isinf(w):
+            assert b == w
+        else:
+            assert abs(b - w) <= 4 * np.spacing(abs(w))
+
+
 class TestSpectrumAgainstReference:
     @pytest.mark.parametrize("ladder", ["distinct", "repeated", "wide"])
     @pytest.mark.parametrize("dim", [2, 3, 5, 8, 16, 32, 64])
@@ -251,6 +267,15 @@ class TestSpectrumAgainstReference:
         p = np.array([float.fromhex(x) for x in populations])
         entries = virtual_spectrum(diag_system(e, p)).entries
         assert hex_entries(entries) == hex_entries(reference_entries(e, p))
+        assert_within_four_ulps_of_math_log(e, p)
+
+    @pytest.mark.parametrize("ladder", ["distinct", "repeated", "wide"])
+    @pytest.mark.parametrize("dim", [2, 3, 5, 8, 16, 32, 64])
+    def test_within_four_ulps_of_math_log(self, rng, dim, ladder):
+        energies = ladder_energies(rng, dim, ladder)
+        for k in range(40 if dim < 16 else 8):
+            p = population_row(rng, energies, KINDS[k % 4])
+            assert_within_four_ulps_of_math_log(energies, p)
 
     @pytest.mark.parametrize("populations", [[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.5, 0.5],
                                              [0.5, 1e-16, 0.5 - 1e-16, 0.0]])
