@@ -26,7 +26,6 @@ from .thermal import gibbs_populations
 FIXED_POINT_TOL = 1e-10
 EIGENVALUE_ONE_TOL = 1e-8
 NEGATIVITY_TOL = 1e-9
-AVERAGED_MAX_ITER = 200000
 # byte budget of the complex (samples, dim, dim) stacks of one time-series chunk
 SERIES_CHUNK_BYTES = 1 << 19
 
@@ -180,56 +179,32 @@ def _channel_matrix(apply_channel: Callable[[np.ndarray], np.ndarray], dim: int)
     return m
 
 
-def _normalize_candidate(x: np.ndarray) -> np.ndarray | None:
-    x = (x + x.conj().T) / 2
-    tr = float(np.trace(x).real)
-    if abs(tr) < 1e-12:
-        return None
-    return x / tr
-
-
-def fixed_point_eigen(apply_channel, dim: int) -> np.ndarray | None:
-    """Fixed point from the eigenvalue-1 eigenvector of the vectorized channel.
-
-    Returns None when the unit eigenvalue is degenerate or the candidate is
-    unusable (zero trace), leaving the decision to the averaged iteration.
-    """
-    m = _channel_matrix(apply_channel, dim)
-    eigvals, eigvecs = np.linalg.eig(m)
-    near_one = np.where(np.abs(eigvals - 1.0) < EIGENVALUE_ONE_TOL)[0]
-    if near_one.size == 0:
-        raise SolverError("channel has no eigenvalue within 1e-8 of 1; not trace-preserving?")
-    if near_one.size > 1:
-        return None
-    return _normalize_candidate(eigvecs[:, near_one[0]].reshape(dim, dim))
-
-
-def fixed_point_averaged(apply_channel, dim: int, tol: float = FIXED_POINT_TOL) -> np.ndarray:
-    """Averaged iteration x <- (x + Phi(x))/2 from the maximally mixed state.
-
-    The averaging damps rotating (peripheral) spectrum, so the iteration
-    converges to a fixed point of Phi even when the fixed-point space is
-    degenerate; started from I/d it realizes the Cesaro-limit convention.
-    """
-    x = np.eye(dim, dtype=complex) / dim
-    for _ in range(AVERAGED_MAX_ITER):
-        fx = apply_channel(x)
-        if linalg.trace_distance(fx, x) <= tol:
-            return x
-        x = (x + fx) / 2
-    raise SolverError(f"averaged fixed-point iteration missed tolerance {tol:.0e}")
-
-
 def channel_fixed_point(apply_channel, dim: int, tol: float = FIXED_POINT_TOL) -> CatalysisResult:
     """Density-matrix fixed point of a CPTP map, with its return residual.
 
-    Spectral solve first; averaged iteration from I/d on degeneracy.  The
-    result is validated as a state: eigenvalues below -1e-9 abort, smaller
-    negativities are floored at zero before renormalizing.
+    The Cesaro fixed point from I/d: the limit of the averages of Phi^k(I/d),
+    which a channel's semisimple unit eigenvalue makes one spectral
+    projection.  With N and W the right and left null spaces of M - I (the
+    singular vectors of singular values at most EIGENVALUE_ONE_TOL), it is
+    N (W^H N)^-1 W^H vec(I/d), whether the fixed space is one state or many.
+    The result is validated as a state: eigenvalues below -1e-9 abort,
+    smaller negativities are floored at zero before renormalizing.
     """
-    x = fixed_point_eigen(apply_channel, dim)
-    if x is None or linalg.trace_distance(apply_channel(x), x) > tol:
-        x = fixed_point_averaged(apply_channel, dim, tol)
+    u, s, vh = np.linalg.svd(_channel_matrix(apply_channel, dim) - np.eye(dim * dim))
+    null = s <= EIGENVALUE_ONE_TOL
+    if not null.any():
+        raise SolverError("channel has no eigenvalue within 1e-8 of 1; not trace-preserving?")
+    n, w_h = vh[null].conj().T, u[:, null].conj().T  # (M - I) N = 0 and W^H (M - I) = 0
+    try:
+        coef = np.linalg.solve(w_h @ n, w_h @ (np.eye(dim) / dim).reshape(-1))
+    except np.linalg.LinAlgError:
+        raise SolverError("the unit eigenvalue is not semisimple; not a channel?") from None
+    x = (n @ coef).reshape(dim, dim)
+    x = (x + x.conj().T) / 2
+    tr = float(np.trace(x).real)
+    if not abs(tr) > 1e-12:
+        raise SolverError("the projected fixed point has no trace")
+    x = x / tr
     w = np.linalg.eigvalsh(x)
     if w.min() < -NEGATIVITY_TOL:
         raise SolverError(f"fixed point has negative eigenvalue {w.min():.3e}")
@@ -421,8 +396,8 @@ def qutrit_catalyst_protocol(setup: QutritCatalystSetup) -> QutritProtocolResult
 def tune_catalyst(setup: QutritCatalystSetup) -> np.ndarray:
     """Frame state left invariant by the protocol at the given (lam, beta).
 
-    Solves phi = Tr_A[V (rho_A (x) phi) V^dag] with the same spectral
-    machinery as the Jaynes-Cummings fixed point.  For a diagonal rho_A the
+    Solves phi = Tr_A[V (rho_A (x) phi) V^dag] with `channel_fixed_point`,
+    as the Jaynes-Cummings fixed point does.  For a diagonal rho_A the
     channel preserves diagonality, so the returned frame is diagonal.
     """
     apply = _frame_channel(qutrit_block_unitary(), setup.rho_a, (3, 2))

@@ -36,6 +36,8 @@ POLYTOPE_TOL = 1e-9
 # decides in one chunk, at the largest dimension; the chunk's other arrays
 # and temporaries take a few times this, whatever the number of systems
 TRIAL_CHUNK_BYTES = 1 << 20
+# the largest argument math.exp takes without overflowing
+_EXP_MAX = math.log(np.finfo(float).max)
 
 
 def _checked_model(energies, populations, beta_bath):
@@ -365,14 +367,22 @@ def predicted_verdicts(
     )
 
 
+def _logistic(x: float) -> float:
+    """1 / (1 + e^-x), as e^x / (1 + e^x) for x < 0 so that no exp overflows."""
+    z = math.exp(-abs(x))
+    return 1.0 / (1.0 + z) if x >= 0.0 else z / (1.0 + z)
+
+
 def build_cooling_protocol(system: QuantumSystem, beta_bath: float) -> CoolingProtocol:
     """Swap protocol on the coldest pair against a resonant qubit thermometer.
 
-    delta_ij = p_i g0 exp(-beta gap) (1 - exp(-(beta_max - beta) gap)) with
-    beta_max the coldest virtual temperature; the transfer vanishes exactly
-    at beta_bath = beta_max and cools the thermometer whenever the bath is
-    strictly hotter.  No search over thermometers is needed: the resonant
-    pair choice is optimal.
+    The swap moves p_i g1 out of |i,1> and p_j g0 out of |j,0>, so
+    delta_ij = p_i g1 - p_j g0 = p_i g0 exp(-beta gap) (1 - exp(-(beta_max -
+    beta) gap)) with beta_max the coldest virtual temperature.  The factored
+    form vanishes exactly at beta_bath = beta_max and cools the thermometer
+    whenever the bath is strictly hotter; the flows are used where its
+    exponents leave the float range.  No search over thermometers is
+    needed: the resonant pair choice is optimal.
     """
     if not math.isfinite(beta_bath):
         raise ValidationError("bath inverse temperature must be finite")
@@ -382,17 +392,15 @@ def build_cooling_protocol(system: QuantumSystem, beta_bath: float) -> CoolingPr
     i, j, beta_max = max(spectrum.entries, key=lambda entry: entry[2])
     gap = float(system.energies[j] - system.energies[i])
     p = temperatures._clean_populations(system.populations)
-    g0 = 1.0 / (1.0 + math.exp(-beta_bath * gap))
-    g1 = 1.0 - g0
-    if p[i] == 0.0:
-        delta = 0.0
-    elif math.isinf(beta_max):
-        # empty upper level: the full p_i * g1 weight moves
-        delta = p[i] * g0 * math.exp(-beta_bath * gap)
+    g0, g1 = _logistic(beta_bath * gap), _logistic(-beta_bath * gap)
+    # the exponents of the factored form: an empty upper level (beta_max =
+    # +inf) makes the second -inf and its factor 1; an empty lower level
+    # (beta_max = -inf) makes it +inf, so the two flows are used
+    rise, fall = -beta_bath * gap, (beta_bath - beta_max) * gap
+    if max(abs(rise), fall) > _EXP_MAX:
+        delta = p[i] * g1 - p[j] * g0
     else:
-        delta = p[i] * g0 * math.exp(-beta_bath * gap) * (
-            1.0 - math.exp(-(beta_max - beta_bath) * gap)
-        )
+        delta = p[i] * g0 * math.exp(rise) * (1.0 - math.exp(fall))
     return CoolingProtocol(
         pair=(int(i), int(j)),
         gap=gap,
@@ -419,7 +427,7 @@ def simulated_protocol_heat(
     gap = float(system.energies[j] - system.energies[i])
     if gap <= 0:
         raise ValidationError("pair must have a positive energy gap")
-    g0 = 1.0 / (1.0 + math.exp(-beta_bath * gap))
+    g0 = _logistic(beta_bath * gap)
     gamma_b = np.diag([g0, 1.0 - g0]).astype(complex)
     h_b = np.diag([0.0, gap]).astype(complex)
 

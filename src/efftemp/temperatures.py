@@ -21,6 +21,7 @@ cold value drops below the hot one (the usable temperature window shrinks).
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,15 +185,14 @@ def single_copy_effective(system: QuantumSystem) -> EffectiveTempPair:
     return extremal_pair(system.energies, system.populations)
 
 
-def tensor_power_pairs(system: QuantumSystem, copies: int) -> np.ndarray:
-    """(beta_c, beta_h) of n = 1..copies copies processed collectively, one row per n.
+def _multiset_rows(system: QuantumSystem, copies: int):
+    """Yield (energy sums, log-population sums, group tol) of n = 1..copies copies.
 
     The spectrum of A^n pairs product populations with summed energies; both
     depend only on the multiset of chosen levels, and the multisets of n
     levels are those of n - 1 levels each extended by a level at or above
-    its last, so one pass grows every row from the one before without
-    materializing the d**n-dimensional state.  The pairs of a row's energy
-    groups play the part of the level pairs of one copy.
+    its last, so each row grows from the one before without materializing
+    the d**n-dimensional state.
     """
     if copies < 1:
         raise ValidationError(f"copy count must be >= 1, got {copies}")
@@ -210,50 +210,62 @@ def tensor_power_pairs(system: QuantumSystem, copies: int) -> np.ndarray:
     # energy sum, log-population sum and last level of each multiset of a row;
     # each sum starts at 0.0 and adds its levels in ascending order
     esum, lsum, last = np.zeros(1), np.zeros(1), np.zeros(1, dtype=int)
-    out = np.empty((copies, 2))
     for n in range(1, copies + 1):
         rows, last = np.nonzero(last[:, None] <= levels)
         esum = esum[rows] + e[last]
         lsum = lsum[rows] + logp[last]
-        order = np.argsort(esum, kind="stable")
-        energies, logs = esum[order], lsum[order]
-        # a group starts at the first sum more than tol above the group's
-        # first; a sum equal to the one before it never starts one
-        tol = _GROUP_RTOL * max(1.0, n * float(np.abs(e).max()))
-        distinct = np.flatnonzero(np.diff(energies, prepend=-math.inf))
-        starts, first = [], -math.inf
-        for k, s in zip(distinct.tolist(), energies[distinct].tolist()):
-            if s - first > tol:
-                starts.append(k)
-                first = s
-        if len(starts) < 2:
-            raise ValidationError(
-                "effective temperatures are undefined: all energy levels are degenerate"
-            )
-        # each group's extremal log-populations over its populated multisets
-        empty = logs == -math.inf
-        top = np.maximum.reduceat(logs, starts)
-        bottom = np.minimum.reduceat(np.where(empty, math.inf, logs), starts)
-        has_zero = np.logical_or.reduceat(empty, starts)
-        low, high = _upper_pairs(len(starts))
-        gap = energies[starts][high] - energies[starts][low]
-        populated = top > -math.inf
-        both = populated[low] & populated[high]
-        # without a pair of populated groups the starting -inf/+inf stand; a
-        # populated group below (above) one with an empty multiset makes
-        # beta_c = +inf (beta_h = -inf)
-        out[n - 1] = (np.max((top[low] - bottom[high])[both] / gap[both], initial=-math.inf),
-                      np.min((bottom[low] - top[high])[both] / gap[both], initial=math.inf))
-        if (populated[low] & has_zero[high]).any():
-            out[n - 1, 0] = math.inf
-        if (has_zero[low] & populated[high]).any():
-            out[n - 1, 1] = -math.inf
-    return out
+        yield esum, lsum, _GROUP_RTOL * max(1.0, n * float(np.abs(e).max()))
+
+
+def _row_extremes(esum: np.ndarray, lsum: np.ndarray, tol: float) -> tuple[float, float]:
+    """(beta_c, beta_h) of one row of `_multiset_rows`.
+
+    The multisets fall into energy groups of width tol, and the pairs of
+    groups play the part of the level pairs of one copy.
+    """
+    order = np.argsort(esum, kind="stable")
+    energies, logs = esum[order], lsum[order]
+    # a group starts at the first sum more than tol above the group's
+    # first; a sum equal to the one before it never starts one
+    distinct = np.flatnonzero(np.diff(energies, prepend=-math.inf))
+    starts, first = [], -math.inf
+    for k, s in zip(distinct.tolist(), energies[distinct].tolist()):
+        if s - first > tol:
+            starts.append(k)
+            first = s
+    if len(starts) < 2:
+        raise ValidationError(
+            "effective temperatures are undefined: all energy levels are degenerate"
+        )
+    # each group's extremal log-populations over its populated multisets
+    empty = logs == -math.inf
+    top = np.maximum.reduceat(logs, starts)
+    bottom = np.minimum.reduceat(np.where(empty, math.inf, logs), starts)
+    has_zero = np.logical_or.reduceat(empty, starts)
+    low, high = _upper_pairs(len(starts))
+    gap = energies[starts][high] - energies[starts][low]
+    populated = top > -math.inf
+    both = populated[low] & populated[high]
+    # without a pair of populated groups the starting -inf/+inf stand; a
+    # populated group below (above) one with an empty multiset makes
+    # beta_c = +inf (beta_h = -inf)
+    beta_c = np.max((top[low] - bottom[high])[both] / gap[both], initial=-math.inf)
+    beta_h = np.min((bottom[low] - top[high])[both] / gap[both], initial=math.inf)
+    if (populated[low] & has_zero[high]).any():
+        beta_c = math.inf
+    if (has_zero[low] & populated[high]).any():
+        beta_h = -math.inf
+    return float(beta_c), float(beta_h)
+
+
+def tensor_power_pairs(system: QuantumSystem, copies: int) -> np.ndarray:
+    """(beta_c, beta_h) of n = 1..copies copies processed collectively, one row per n."""
+    return np.array([_row_extremes(*row) for row in _multiset_rows(system, copies)])
 
 
 def tensor_power_effective(system: QuantumSystem, n: int) -> EffectiveTempPair:
-    """Effective temperatures of n copies processed collectively: the last table row."""
-    beta_c, beta_h = tensor_power_pairs(system, n)[-1].tolist()
+    """Effective temperatures of n copies processed collectively: the table's row n alone."""
+    beta_c, beta_h = _row_extremes(*deque(_multiset_rows(system, n), maxlen=1)[0])
     return EffectiveTempPair(beta_c=beta_c, beta_h=beta_h)
 
 

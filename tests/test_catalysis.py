@@ -13,8 +13,6 @@ from efftemp.catalysis import (
     QutritCatalystSetup,
     channel_fixed_point,
     excitation_number,
-    fixed_point_averaged,
-    fixed_point_eigen,
     jc_hamiltonian,
     qutrit_block_unitary,
     qutrit_catalyst_protocol,
@@ -25,7 +23,7 @@ from efftemp.catalysis import (
     tune_catalyst,
     uniform_superposition_state,
 )
-from efftemp.linalg import ValidationError
+from efftemp.linalg import SolverError, ValidationError
 from efftemp.temperatures import single_copy_effective, tensor_power_effective, virtual_spectrum
 from efftemp.thermal import QuantumSystem
 
@@ -102,6 +100,21 @@ def _atom_channel_at_tau(config: JCConfig):
     )
 
 
+def _averaged_fixed_point(apply_channel, dim: int, tol: float) -> np.ndarray:
+    """Reference: iterate x <- (x + Phi(x))/2 from I/d until Phi moves x by at most tol.
+
+    The averaging damps the rotating spectrum, so the iterates approach the
+    Cesaro fixed point from I/d even when the fixed space is degenerate.
+    """
+    x = np.eye(dim, dtype=complex) / dim
+    for _ in range(200000):
+        fx = apply_channel(x)
+        if linalg.trace_distance(fx, x) <= tol:
+            return x
+        x = (x + fx) / 2
+    raise AssertionError(f"averaged iteration missed tolerance {tol:.0e}")
+
+
 class TestFixedPoint:
     def test_zero_coupling_returns_maximally_mixed(self):
         config = JCConfig(g=0.0)
@@ -116,23 +129,48 @@ class TestFixedPoint:
         assert w.min() >= -1e-12
         assert np.trace(result.catalyst_state).real == pytest.approx(1.0, abs=1e-12)
 
-    def test_eigen_and_averaged_solvers_agree(self):
-        apply = _atom_channel_at_tau(DEFAULT_CONFIG)
-        x_eigen = fixed_point_eigen(apply, 2)
-        x_eigen = x_eigen / np.trace(x_eigen).real
-        x_avg = fixed_point_averaged(apply, 2, tol=1e-12)
-        assert linalg.trace_distance(x_eigen, x_avg) <= 1e-8
+    @staticmethod
+    def _channel(case: str):
+        if case == "qutrit":
+            setup = QutritCatalystSetup(lam=0.8, beta=1.0)
+            return catalysis._frame_channel(qutrit_block_unitary(), setup.rho_a, (3, 2))
+        return _atom_channel_at_tau(DEFAULT_CONFIG if case == "jc" else JCConfig(g=0.0))
+
+    @pytest.mark.parametrize("case", ["jc", "jc_g0", "qutrit"])
+    def test_matches_the_averaged_iteration(self, case):
+        # jc_g0 leaves every atom state fixed: a degenerate unit eigenvalue
+        apply = self._channel(case)
+        x = channel_fixed_point(apply, 2).catalyst_state
+        assert linalg.trace_distance(x, _averaged_fixed_point(apply, 2, tol=1e-12)) <= 1e-8
+
+    def test_degenerate_fixed_space_is_projected_exactly(self):
+        # K0 = diag(1, 1, 0), K1 = |0><2|: every state on span{|0>, |1>} is
+        # fixed, and the Cesaro limit from I/3 is Phi(I/3) = diag(2/3, 1/3, 0)
+        k0 = np.diag([1.0, 1.0, 0.0]).astype(complex)
+        k1 = np.zeros((3, 3), dtype=complex)
+        k1[0, 2] = 1.0
+        result = channel_fixed_point(lambda x: k0 @ x @ k0.conj().T + k1 @ x @ k1.conj().T, 3)
+        assert_allclose(result.catalyst_state, np.diag([2 / 3, 1 / 3, 0.0]), rtol=0, atol=1e-12)
+        assert result.fixed_point_residual <= 1e-15
+
+    def test_jordan_block_at_one_raises_solver_error(self):
+        # a linear map whose M - I is one nilpotent Jordan block: its right and
+        # left null vectors are orthogonal, so no spectral projection exists
+        m = np.eye(4, dtype=complex) + np.eye(4, k=1)
+
+        def apply(x: np.ndarray) -> np.ndarray:
+            return (m @ x.reshape(-1)).reshape(2, 2)
+
+        with pytest.raises(SolverError, match="not semisimple"):
+            channel_fixed_point(apply, 2)
+
+    def test_no_unit_eigenvalue_raises_solver_error(self):
+        with pytest.raises(SolverError, match="no eigenvalue within 1e-8 of 1"):
+            channel_fixed_point(lambda x: x / 2, 2)
 
     @pytest.mark.parametrize("case", ["jc", "jc_g0", "qutrit"])
     def test_returned_residual_is_the_last_check(self, case):
-        if case == "qutrit":
-            setup = QutritCatalystSetup(lam=0.8, beta=1.0)
-            apply = catalysis._frame_channel(qutrit_block_unitary(), setup.rho_a, (3, 2))
-        else:
-            apply = _atom_channel_at_tau(DEFAULT_CONFIG if case == "jc" else JCConfig(g=0.0))
-        if case == "jc_g0":
-            # a degenerate unit eigenvalue sends the solve down the averaged path
-            assert fixed_point_eigen(apply, 2) is None
+        apply = self._channel(case)
         result = channel_fixed_point(apply, 2)
         x = result.catalyst_state
         assert result.fixed_point_residual.hex() == linalg.trace_distance(apply(x), x).hex()

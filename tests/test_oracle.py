@@ -651,6 +651,29 @@ class TestCoolingProtocol:
         assert abs(simulated - protocol.heat_to_thermometer) <= 1e-12
 
 
+    @pytest.mark.parametrize("populations", [[0.0, 1.0], [1e-300, 1.0]])
+    @pytest.mark.parametrize("beta_bath", [0.0, 1.0, -2.0])
+    def test_empty_lower_level(self, populations, beta_bath):
+        # beta_max = -inf: the swap moves p_j g0 up and nothing down
+        system = diag_system([0.0, 1.0], populations)
+        protocol = build_cooling_protocol(system, beta_bath)
+        assert protocol.beta_max == -math.inf
+        simulated = simulated_protocol_heat(system, beta_bath, protocol.pair)
+        assert abs(simulated - protocol.heat_to_thermometer) <= 1e-12
+        assert protocol.heat_to_thermometer > 0.0
+
+    @pytest.mark.parametrize("beta_bath", [710.0, -710.0, 1000.0, -1000.0, 1e308, -1e308])
+    def test_extreme_baths_give_the_two_flows(self, beta_bath):
+        system = diag_system([0.0, 1.0, 2.0], [0.5, 0.3, 0.2])
+        protocol = build_cooling_protocol(system, beta_bath)
+        assert math.isfinite(protocol.g0) and math.isfinite(protocol.g1)
+        assert protocol.g0 + protocol.g1 == 1.0
+        i, j = protocol.pair
+        p = system.populations
+        flows = p[i] * protocol.g1 - p[j] * protocol.g0
+        assert abs(protocol.delta_ij - flows) <= 1e-12
+
+
 class TestGibbsStochasticLPValidation:
     def test_rejects_bad_populations(self):
         with pytest.raises(ValidationError):

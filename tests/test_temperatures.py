@@ -403,6 +403,22 @@ class TestTensorPowerTable:
             pair = tensor_power_effective(system, n)
             assert (pair.beta_c, pair.beta_h) == tuple(table[n - 1])
 
+    def test_lone_call_reduces_only_its_own_row(self, rng, monkeypatch):
+        system = diag_system(random_energies(rng, 3), rng.dirichlet(np.ones(3)))
+        table = temperatures.tensor_power_pairs(system, 9)
+        reduce_row = temperatures._row_extremes
+        calls = []
+
+        def counting(*row):
+            calls.append(row[0].size)
+            return reduce_row(*row)
+
+        monkeypatch.setattr(temperatures, "_row_extremes", counting)
+        pair = tensor_power_effective(system, 9)
+        # one reduction, of the 55 multisets of 9 copies of 3 levels
+        assert calls == [55]
+        assert (pair.beta_c, pair.beta_h) == tuple(table[-1])
+
     def test_cap_checked_on_the_requested_count(self):
         from efftemp.catalysis import QUTRIT_ENERGIES, qutrit_state
 
