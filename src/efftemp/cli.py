@@ -82,7 +82,9 @@ def load_system_file(path: str) -> tuple[QuantumSystem, str]:
         im = _floats(path, "rho_im", doc.get("rho_im", np.zeros_like(re)))
         if re.shape != im.shape:
             raise ValidationError(f"{path}: rho_re and rho_im shapes differ")
-        rho = re + 1j * im
+        # assigned, not re + 1j * im: 1j * inf would warn and make a NaN real part
+        rho = re.astype(complex)
+        rho.imag = im
     else:
         raise ValidationError(f"{path}: need either 'populations' or 'rho_re'")
     try:

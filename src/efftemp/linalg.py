@@ -51,7 +51,7 @@ def check_hermitian(a, tol: float = HERMITIAN_TOL, name: str = "operator") -> np
     return arr
 
 
-def _checked_state(rho, name: str) -> tuple[np.ndarray, np.ndarray]:
+def checked_state(rho, name: str = "state") -> tuple[np.ndarray, np.ndarray]:
     """check_density_matrix that also returns the spectrum it computed."""
     # entries near the float limit overflow the Hermiticity deviation or the
     # trace to inf, which the checks reject with their usual messages
@@ -68,7 +68,7 @@ def _checked_state(rho, name: str) -> tuple[np.ndarray, np.ndarray]:
 
 def check_density_matrix(rho, name: str = "state") -> np.ndarray:
     """Validate finite entries, Hermiticity, unit trace and nonnegative spectrum."""
-    return _checked_state(rho, name)[0]
+    return checked_state(rho, name)[0]
 
 
 def hermitian_eig(op, tol: float = HERMITIAN_TOL) -> tuple[np.ndarray, np.ndarray]:
@@ -132,9 +132,8 @@ def entropy_of_probabilities(p: np.ndarray) -> float:
 
 def von_neumann_entropy(rho) -> float:
     """S(rho) = -Tr rho log rho in nats, from the spectrum its validation computes."""
-    w = _checked_state(rho, "state")[1]
-    w = np.where((w < 0.0) & (w >= EIG_FLOOR), 0.0, w)
-    return entropy_of_probabilities(w)
+    # the cutoff also zeroes the validated spectrum's negatives down to EIG_FLOOR
+    return entropy_of_probabilities(checked_state(rho)[1])
 
 
 def trace_norm(a) -> float:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,19 +44,22 @@ class QuantumSystem:
     """A Hamiltonian spectrum paired with a density matrix.
 
     `energies` are the Hamiltonian eigenvalues in ascending order, and
-    `rho` is expressed in the same energy eigenbasis.
+    `rho` is expressed in the same energy eigenbasis.  `spectrum` holds the
+    eigenvalues of `rho` that its validation computed.
     """
 
     energies: np.ndarray
     rho: np.ndarray
+    spectrum: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         e = check_energy_levels(self.energies)
-        rho = linalg.check_density_matrix(self.rho)
+        rho, spectrum = linalg.checked_state(self.rho)
         if rho.shape[0] != e.size:
             raise ValidationError(f"state dimension {rho.shape[0]} != {e.size} energy levels")
         object.__setattr__(self, "energies", e)
         object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "spectrum", spectrum)
         if abs(self.populations.sum() - 1.0) > 1e-10:
             raise ValidationError("populations do not sum to 1 within 1e-10")
 
@@ -75,8 +78,9 @@ class QuantumSystem:
 
     @functools.cached_property
     def entropy(self) -> float:
-        """Von Neumann entropy S(rho) in nats, computed on first use."""
-        return linalg.von_neumann_entropy(self.rho)
+        """Von Neumann entropy S(rho) in nats, from the validation's spectrum."""
+        # as linalg.von_neumann_entropy(rho), without a second eigvalsh
+        return linalg.entropy_of_probabilities(self.spectrum)
 
 
 @dataclass(frozen=True, eq=False)

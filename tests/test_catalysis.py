@@ -1,10 +1,11 @@
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import random_density
+from conftest import random_density, random_unitary
 from efftemp import catalysis, cli, linalg
 from efftemp.catalysis import (
     CATALYST_ENERGIES,
@@ -25,7 +26,7 @@ from efftemp.catalysis import (
 )
 from efftemp.linalg import SolverError, ValidationError
 from efftemp.temperatures import single_copy_effective, tensor_power_effective, virtual_spectrum
-from efftemp.thermal import QuantumSystem
+from efftemp.thermal import QuantumSystem, gibbs_populations
 
 DEFAULT_CONFIG = JCConfig(omega=1.0, g=0.1, fock_levels=3, tau=28.5)
 ROTATED_QUTRIT_BETA = math.log(5 / 2 + 3 / math.sqrt(2))
@@ -184,6 +185,126 @@ class TestFixedPoint:
         assert series.time_series[k_tau, 5] < 1e-6
 
 
+class Marginals(NamedTuple):
+    """Per-sample marginals of an evolution of rho_A (x) X."""
+
+    sigma_a: np.ndarray
+    sigma_r: np.ndarray
+    top: np.ndarray  # population of the last joint level, (n - 1, excited)
+
+    def rows(self, config, atom) -> np.ndarray:
+        """Series rows read through validated QuantumSystems, one per sample."""
+        rows = []
+        for t, sigma_a, sigma_r in zip(config.time_grid, self.sigma_a, self.sigma_r):
+            # the per-state spectrum, not the batched core
+            betas_a = virtual_spectrum(QuantumSystem(config.cavity_energies, sigma_a)).betas()
+            betas_r = virtual_spectrum(QuantumSystem(config.atom_energies, sigma_r)).betas()
+            rows.append((
+                t,
+                betas_a.max(),
+                betas_a.min(),
+                betas_r.max(),
+                betas_r.min(),
+                linalg.trace_distance(sigma_r, atom),
+                float(np.abs(sigma_a - np.diag(np.diag(sigma_a))).sum()),
+            ))
+        return np.array(rows)
+
+
+def dense_evolution(config, cavity, atom) -> Marginals:
+    """U(t) (rho_A (x) X) U(t)^H as a dense matrix at each time of the grid."""
+    n = config.fock_levels
+    w, v = linalg.hermitian_eig(jc_hamiltonian(config))
+    joint0_v = v.conj().T @ linalg.tensor_product(cavity, atom) @ v
+    sigma_a, sigma_r, top = [], [], []
+    for t in config.time_grid:
+        vp = v * np.exp(-1j * w * t)
+        joint = vp @ joint0_v @ vp.conj().T
+        sigma_a.append(linalg.partial_trace(joint, (n, 2), keep="first"))
+        sigma_r.append(linalg.partial_trace(joint, (n, 2), keep="second"))
+        top.append(joint[2 * n - 1, 2 * n - 1].real)
+    return Marginals(np.array(sigma_a), np.array(sigma_r), np.array(top))
+
+
+def factored_marginals(config, cavity, atom) -> Marginals:
+    """The series' own marginals, concatenated over its chunks."""
+    chunks = list(catalysis._evolved_marginals(config, cavity, atom))
+    return Marginals(*(np.concatenate([c[k] for c in chunks]) for k in (1, 2, 3)))
+
+
+def make_cavity(kind: str, fock: int, rng) -> np.ndarray:
+    """A cavity state of the named kind on `fock` levels."""
+    if kind == "pure":
+        return uniform_superposition_state(fock)
+    if kind == "full-rank":
+        return random_density(rng, fock)
+    if kind == "negative":
+        # eigenvalue -5e-11, inside the validation's EIG_FLOOR of -1e-10
+        p = rng.dirichlet(np.ones(fock))
+        p[-1] = -5e-11
+        p[:-1] *= (1.0 - p[-1]) / p[:-1].sum()
+        u = random_unitary(rng, fock)
+        return (u * p) @ u.conj().T
+    beta = float(kind.removeprefix("cold-"))
+    return np.diag(gibbs_populations(np.arange(fock, dtype=float), beta)).astype(complex)
+
+
+CAVITY_KINDS = ["pure", "full-rank", "negative", "cold-1.5", "cold-6"]
+
+
+class TestFactoredPropagation:
+    """The rank-r factor against the dense per-sample evolution it replaces."""
+
+    @pytest.mark.parametrize("fock", [2, 3, 8, 24, 32])
+    @pytest.mark.parametrize("kind", CAVITY_KINDS)
+    def test_matches_the_dense_evolution(self, kind, fock):
+        rng = np.random.default_rng(fock)
+        config = JCConfig(fock_levels=fock, g=0.13, tau=17.0, steps=30)
+        cavity = make_cavity(kind, fock, rng)
+        atom = random_density(rng, 2)
+        dense = dense_evolution(config, cavity, atom)
+        factored = factored_marginals(config, cavity, atom)
+        for got, want in zip(factored, dense):
+            assert_allclose(got, want, rtol=0, atol=1e-12)
+        result = run_time_series(config, cavity, atom)
+        assert abs(result.boundary_occupancy - dense.top.max()) <= 1e-12
+        columns = list(range(7))
+        if kind.startswith("cold"):
+            # the betas are left out: cavity populations near 1e-15 sit at
+            # temperatures.ZERO_POPULATION, where rounding noise of either path
+            # decides between a finite and an infinite beta, and the cooled
+            # atom's small population magnifies rounding in its beta
+            columns = [0, 5, 6]
+        assert_allclose(result.time_series[:, columns], dense.rows(config, atom)[:, columns],
+                        rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("fock", [2, 8, 32])
+    def test_keeps_a_negative_eigenvalue_with_its_sign(self, fock):
+        rng = np.random.default_rng(fock)
+        cavity = make_cavity("negative", fock, rng)
+        assert np.linalg.eigvalsh(cavity).min() == pytest.approx(-5e-11, rel=1e-4)
+        atom = random_density(rng, 2)
+        factor, sign = catalysis._signed_factor(cavity, atom)
+        assert sign.size == 2 * fock and sign.tolist().count(-1.0) == 2
+        assert_allclose((factor * sign) @ factor.conj().T, linalg.tensor_product(cavity, atom),
+                        rtol=0, atol=1e-15)
+
+    def test_trace_distances_match_the_eigenvalue_form(self):
+        # random 2x2 matrices with a trace, so both terms of max(|tr D|, h) win
+        rng = np.random.default_rng(2)
+        diffs = rng.normal(size=(500, 2, 2)) + 1j * rng.normal(size=(500, 2, 2))
+        diffs *= 10.0 ** rng.uniform(-12, 2, (500, 1, 1))
+        want = [np.abs(np.linalg.eigvalsh((d + d.conj().T) / 2)).sum() / 2 for d in diffs]
+        assert_allclose(catalysis._trace_distances(diffs), want, rtol=1e-13, atol=0)
+
+    def test_the_cli_cavity_propagates_rank_at_most_two(self):
+        for fock in range(2, 65):
+            config = JCConfig(fock_levels=fock, steps=10)
+            cavity = uniform_superposition_state(fock)
+            atom = solve_catalyst_fixed_point(config, cavity).catalyst_state
+            assert catalysis._signed_factor(cavity, atom)[1].size <= 2, fock
+
+
 class TestTimeSeries:
     def test_zero_coupling_keeps_betas_constant(self, rng):
         config = JCConfig(g=0.0, steps=40)
@@ -195,38 +316,33 @@ class TestTimeSeries:
 
     @pytest.mark.parametrize("fock", [3, 8, 32])
     def test_rows_match_validated_states(self, fock):
-        # the chunked series must give the bits of a per-sample evolution
-        # that reads each marginal through a validated QuantumSystem; at
-        # fock 8 the grid spans several chunks and ends in a partial one
+        # the factored series against a per-sample dense evolution that reads
+        # each marginal through a validated QuantumSystem; at fock 8 the grid
+        # spans several chunks and ends in a partial one
         steps = {3: 40, 8: 200, 32: 45}[fock]
         config = JCConfig(fock_levels=fock, steps=steps)
         cavity = uniform_superposition_state(fock)
         atom = solve_catalyst_fixed_point(config, cavity).catalyst_state
         result = run_time_series(config, cavity, atom)
         assert result.time_series.shape == (steps + 1, 7)
-        w, v = linalg.hermitian_eig(jc_hamiltonian(config))
-        joint0_v = v.conj().T @ linalg.tensor_product(cavity, atom) @ v
-        boundary = 0.0
-        for row, t in zip(result.time_series, config.time_grid):
-            phases = np.exp(-1j * w * t)
-            joint = (v * phases) @ joint0_v @ (v * phases).conj().T
-            sigma_a = linalg.partial_trace(joint, (fock, 2), keep="first")
-            sigma_r = linalg.partial_trace(joint, (fock, 2), keep="second")
-            # the per-state spectrum, not the batched core
-            betas_a = virtual_spectrum(QuantumSystem(config.cavity_energies, sigma_a)).betas()
-            betas_r = virtual_spectrum(QuantumSystem(config.atom_energies, sigma_r)).betas()
-            expected = (
-                t,
-                betas_a.max(),
-                betas_a.min(),
-                betas_r.max(),
-                betas_r.min(),
-                linalg.trace_distance(sigma_r, atom),
-                float(np.abs(sigma_a - np.diag(np.diag(sigma_a))).sum()),
-            )
-            assert tuple(row) == expected
-            boundary = max(boundary, float(joint[2 * fock - 1, 2 * fock - 1].real))
-        assert result.boundary_occupancy == boundary
+        reference = dense_evolution(config, cavity, atom)
+        assert_allclose(result.time_series, reference.rows(config, atom), rtol=0, atol=1e-12)
+        assert abs(result.boundary_occupancy - reference.top.max()) <= 1e-12
+
+    @pytest.mark.parametrize("cavity_kind", ["pure", "full-rank"])
+    def test_chunking_keeps_every_bit(self, monkeypatch, cavity_kind):
+        # each sample's factor product is its own matrix product and every
+        # reduction runs within one sample, so one-sample chunks give the bits
+        # of the default chunks
+        config = JCConfig(fock_levels=8, steps=300)
+        rng = np.random.default_rng(8)
+        cavity = uniform_superposition_state(8) if cavity_kind == "pure" else random_density(rng, 8)
+        atom = random_density(rng, 2)
+        default = run_time_series(config, cavity, atom)
+        monkeypatch.setattr(catalysis, "SERIES_CHUNK_BYTES", 1)
+        one_sample = run_time_series(config, cavity, atom)
+        assert one_sample.time_series.tobytes() == default.time_series.tobytes()
+        assert one_sample.boundary_occupancy.hex() == default.boundary_occupancy.hex()
 
     def test_uniform_cavity_starts_at_beta_zero(self):
         result = solve_catalyst_fixed_point(DEFAULT_CONFIG, uniform_superposition_state(3))
@@ -299,13 +415,16 @@ class TestTimeSeries:
         assert len(calls) == 1
         assert isinstance(series, catalysis.TimeSeriesResult)
         # one jc command: one config, whose one eigensystem serves the fixed
-        # point and the series
+        # point and the series; the series also factors the cavity and the
+        # atom, which are not the Hamiltonian
         calls.clear()
         monkeypatch.setattr(np.linalg, "eigh", lambda a: eighs.append(a) or eigh(a))
         assert cli.main(["jc", "--steps", "10"]) == 0
         capsys.readouterr()
         assert len(calls) == 1
-        assert len(eighs) == 1
+        hamiltonian = build(calls[0])
+        assert sum(a.shape == hamiltonian.shape and np.array_equal(a, hamiltonian)
+                   for a in eighs) == 1
 
 
 class TestQutritBlockUnitary:

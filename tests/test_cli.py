@@ -176,9 +176,10 @@ class TestAsymptotic:
         assert code == 1 and report["status"] == 1
         assert "finite" in report["error"]
 
-    def test_expansion_diagonalizes_the_state_twice(self, capsys, tmp_path, monkeypatch):
-        # once to validate the loaded state, once for S(rho); the entropy is
-        # computed once and shared by the report, both branches and the expansion
+    def test_expansion_diagonalizes_the_state_once(self, capsys, tmp_path, monkeypatch):
+        # the loaded state's validation computes its spectrum, and S(rho) is
+        # read from it once and shared by the report, both branches and the
+        # expansion
         rho = random_density(np.random.default_rng(64), 64)
         path = write_json(
             tmp_path / "rho64.json",
@@ -195,7 +196,7 @@ class TestAsymptotic:
         monkeypatch.setattr(np.linalg, "eigvalsh", counted)
         code, report = run_cli(capsys, "asymptotic", path, "--delta", "0.5", "--expansion")
         assert code == 0
-        assert calls == [(64, 64), (64, 64)]
+        assert calls == [(64, 64)]
 
     def test_expansion_block(self, capsys, mixed_qubit_file):
         code, report = run_cli(
@@ -574,8 +575,11 @@ class TestExtremeMagnitudesAreQuiet:
          "state trace inf+0j differs from 1"),
         (["single"], {"energies": [0, 1], "rho_re": [[0.5, 1e308], [-1e308, 0.5]]}, 1,
          "state is not Hermitian: max deviation inf"),
+        # 1j * inf would be a NaN real part, with a warning
+        (["single"], {"energies": [0, 1], "rho_re": [[0.6, 0.2], [0.2, 0.4]],
+                      "rho_im": [[0, math.inf], [-0.1, 0]]}, 1, "state must be finite"),
     ], ids=["single-span", "asymptotic-span", "variance-inf", "variance-zero-weight",
-            "trace-overflow", "hermitian-overflow"])
+            "trace-overflow", "hermitian-overflow", "rho-im-inf"])
     def test_one_strict_report_and_nothing_on_stderr(self, capsys, tmp_path, argv, doc,
                                                      status, found):
         path = write_json(tmp_path / "extreme.json", doc)

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import diag_system, random_density, random_energies
-from efftemp import thermal
+from efftemp import linalg, thermal
 from efftemp.linalg import BracketError, ValidationError
 from efftemp.thermal import QuantumSystem, gibbs_by_beta, gibbs_by_energy, t_star
 
@@ -259,6 +259,23 @@ class TestQuantumSystem:
     def test_rejects_non_state(self):
         with pytest.raises(ValidationError):
             diag_system([0.0, 1.0], [0.7, 0.7])
+
+    @pytest.mark.parametrize("dim", [2, 5, 64])
+    def test_entropy_reads_the_validation_spectrum(self, monkeypatch, dim):
+        # pure, full-rank, and with an eigenvalue just above EIG_FLOOR
+        rng = np.random.default_rng(dim)
+        pure = np.zeros((dim, dim), dtype=complex)
+        pure[0, 0] = 1.0
+        floored = np.diag(np.r_[1.0 + 5e-11, np.full(dim - 2, 0.0), -5e-11]).astype(complex)
+        for rho in (pure, random_density(rng, dim), floored):
+            expected = linalg.von_neumann_entropy(rho)
+            system = QuantumSystem(energies=np.arange(dim, dtype=float), rho=rho)
+            calls = []
+            eigvalsh = np.linalg.eigvalsh
+            monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+            assert system.entropy.hex() == expected.hex()
+            assert calls == []
+            monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
 
 
 class TestGibbsWeightOverflow:
