@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -118,7 +118,11 @@ class JCConfig:
 
 @dataclass(frozen=True, eq=False)
 class CatalysisResult:
-    """Catalyst state and its return residual after one period tau."""
+    """Catalyst state and its return residual after one period tau.
+
+    `channel_fixed_point` returns those of a stack of channels: (S, d, d)
+    states and (S,) residuals.
+    """
 
     catalyst_state: np.ndarray
     fixed_point_residual: float
@@ -169,62 +173,94 @@ def excitation_number(config: JCConfig) -> np.ndarray:
 # channel fixed points
 
 
-def _channel_matrix(apply_channel: Callable[[np.ndarray], np.ndarray], dim: int) -> np.ndarray:
-    m = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for k in range(dim):
-        for l in range(dim):
-            unit = np.zeros((dim, dim), dtype=complex)
-            unit[k, l] = 1.0
-            m[:, k * dim + l] = apply_channel(unit).reshape(-1)
-    return m
-
-
 def channel_fixed_point(apply_channel, dim: int, tol: float = FIXED_POINT_TOL) -> CatalysisResult:
-    """Density-matrix fixed point of a CPTP map, with its return residual.
+    """Density-matrix fixed points of a stack of S CPTP maps, with their return residuals.
 
-    The Cesaro fixed point from I/d: the limit of the averages of Phi^k(I/d),
-    which a channel's semisimple unit eigenvalue makes one spectral
-    projection.  With N and W the right and left null spaces of M - I (the
-    singular vectors of singular values at most EIGENVALUE_ONE_TOL), it is
-    N (W^H N)^-1 W^H vec(I/d), whether the fixed space is one state or many.
-    The result is validated as a state: eigenvalues below -1e-9 abort,
-    smaller negativities are floored at zero before renormalizing.
+    `apply_channel` takes an (S, k, dim, dim) stack, k operators for each of
+    the S channels, to their images.  It first gets the dim^2 matrix units as
+    a (1, dim^2, dim, dim) stack to broadcast over its channels, and last the
+    fixed points as an (S, 1, dim, dim) stack, which gives the residuals.
+
+    Each fixed point is the Cesaro fixed point from I/d: the limit of the
+    averages of Phi^k(I/d), which a channel's semisimple unit eigenvalue
+    makes one spectral projection.  With N and W the right and left null
+    spaces of M - I (the singular vectors of singular values at most
+    EIGENVALUE_ONE_TOL), it is N (W^H N)^-1 W^H vec(I/d), whether the fixed
+    space is one state or many; channels are solved together by the
+    dimension of their null space.  Each result is validated as a state:
+    eigenvalues below -1e-9 abort, smaller negativities are floored at zero
+    before renormalizing.  A check that fails in any channel aborts the
+    stack, with the first failing channel's value in the message.
+
+    Returns a CatalysisResult of (S, dim, dim) states and (S,) residuals.
     """
-    u, s, vh = np.linalg.svd(_channel_matrix(apply_channel, dim) - np.eye(dim * dim))
-    null = s <= EIGENVALUE_ONE_TOL
-    if not null.any():
+    n_units = dim * dim
+    images = apply_channel(np.eye(n_units, dtype=complex).reshape(1, n_units, dim, dim))
+    # column k * dim + l of each M is the image of the unit |k><l|
+    m = images.reshape(-1, n_units, n_units).transpose(0, 2, 1)
+    u, s, vh = np.linalg.svd(m - np.eye(n_units))
+    null_dims = (s <= EIGENVALUE_ONE_TOL).sum(axis=1)  # s descends: these are the last
+    if not null_dims.all():
         raise SolverError("channel has no eigenvalue within 1e-8 of 1; not trace-preserving?")
-    n, w_h = vh[null].conj().T, u[:, null].conj().T  # (M - I) N = 0 and W^H (M - I) = 0
-    try:
-        coef = np.linalg.solve(w_h @ n, w_h @ (np.eye(dim) / dim).reshape(-1))
-    except np.linalg.LinAlgError:
-        raise SolverError("the unit eigenvalue is not semisimple; not a channel?") from None
-    x = (n @ coef).reshape(dim, dim)
-    x = (x + x.conj().T) / 2
-    tr = float(np.trace(x).real)
-    if not abs(tr) > 1e-12:
+    start = (np.eye(dim, dtype=complex) / dim).reshape(n_units, 1)
+    x = np.empty((m.shape[0], n_units), dtype=complex)
+    for k in sorted(set(null_dims.tolist())):
+        rows = np.flatnonzero(null_dims == k)
+        # (M - I) N = 0 and W^H (M - I) = 0
+        n = vh[rows, -k:].conj().transpose(0, 2, 1)
+        w_h = u[rows, :, -k:].conj().transpose(0, 2, 1)
+        try:
+            coef = np.linalg.solve(w_h @ n, w_h @ start)
+        except np.linalg.LinAlgError:
+            raise SolverError("the unit eigenvalue is not semisimple; not a channel?") from None
+        x[rows] = (n @ coef)[:, :, 0]
+    x = x.reshape(-1, dim, dim)
+    x = (x + x.conj().transpose(0, 2, 1)) / 2
+    tr = np.trace(x, axis1=1, axis2=2).real
+    if not (np.abs(tr) > 1e-12).all():
         raise SolverError("the projected fixed point has no trace")
-    x = x / tr
-    w = np.linalg.eigvalsh(x)
-    if w.min() < -NEGATIVITY_TOL:
-        raise SolverError(f"fixed point has negative eigenvalue {w.min():.3e}")
-    if w.min() < 0.0:
-        vals, vecs = np.linalg.eigh(x)
-        vals = np.maximum(vals, 0.0)
-        x = (vecs * vals) @ vecs.conj().T
-        x = x / np.trace(x).real
-    residual = linalg.trace_distance(apply_channel(x), x)
-    if residual > tol:
+    x = x / tr[:, None, None]
+    low = np.linalg.eigvalsh(x).min(axis=1)
+    aborts = low < -NEGATIVITY_TOL
+    if aborts.any():
+        raise SolverError(f"fixed point has negative eigenvalue {low[aborts][0]:.3e}")
+    negative = low < 0.0
+    if negative.any():
+        vals, vecs = np.linalg.eigh(x[negative])
+        floored = (vecs * np.maximum(vals, 0.0)[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
+        x[negative] = floored / np.trace(floored, axis1=1, axis2=2).real[:, None, None]
+    diff = apply_channel(x[:, None])[:, 0] - x
+    diff = (diff + diff.conj().transpose(0, 2, 1)) / 2
+    residual = np.abs(np.linalg.eigvalsh(diff)).sum(axis=1) / 2  # linalg.trace_distance per row
+    if (residual > tol).any():
         raise SolverError(f"fixed point residual exceeds {tol:.0e}")
     return CatalysisResult(catalyst_state=x, fixed_point_residual=residual)
 
 
-def _frame_channel(u: np.ndarray, state: np.ndarray, dims: tuple[int, int]):
-    """X -> Tr_first[U (state (x) X) U^dag] on the second factor of `dims`."""
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker products of the last two axes of a and b, broadcast over the others."""
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    d = a.shape[-1] * b.shape[-1]
+    return out.reshape(out.shape[:-4] + (d, d))
+
+
+def _frame_channel(u: np.ndarray, states: np.ndarray, dims: tuple[int, int]):
+    """X -> Tr_first[U (state (x) X) U^dag] on the second factor of `dims`.
+
+    One channel per state of an (S, d1, d1) stack, in the stacked form
+    `channel_fixed_point` applies: (S or 1, k, d2, d2) stacks to their images.
+    The k operators are taken one at a time, each for all S channels at once,
+    so a large joint space (the cavity's) holds one stack of joint states.
+    """
+    d1, d2 = dims
 
     def apply(x: np.ndarray) -> np.ndarray:
-        joint = u @ linalg.tensor_product(state, x) @ u.conj().T
-        return linalg.partial_trace(joint, dims, keep="second")
+        images = np.empty(np.broadcast_shapes(x.shape, (states.shape[0], 1, d2, d2)), complex)
+        for q in range(x.shape[1]):
+            joint = u @ _kron(states, x[:, q]) @ u.conj().T
+            images[:, q] = np.einsum("skikj->sij", joint.reshape(-1, d1, d2, d1, d2))
+            del joint  # freed before the next operator's joint states are built
+        return images
 
     return apply
 
@@ -240,7 +276,9 @@ def solve_catalyst_fixed_point(config: JCConfig, cavity_state) -> CatalysisResul
         raise ValidationError("cavity state dimension != fock_levels")
     w, v = config.eigensystem
     u = (v * np.exp(-1j * w * config.tau)) @ v.conj().T  # linalg.unitary_evolution's arithmetic
-    return channel_fixed_point(_frame_channel(u, rho_a, (config.fock_levels, 2)), 2)
+    solved = channel_fixed_point(_frame_channel(u, rho_a[None], (config.fock_levels, 2)), 2)
+    return CatalysisResult(catalyst_state=solved.catalyst_state[0],
+                           fixed_point_residual=float(solved.fixed_point_residual[0]))
 
 
 def _offdiag_l1(m: np.ndarray) -> np.ndarray:
@@ -366,34 +404,57 @@ def reference_catalyst() -> np.ndarray:
     return 0.5 * (1.0 - 1.0 / math.sqrt(2)) * np.eye(2) + plus / math.sqrt(2)
 
 
-def qutrit_state(lam: float, beta: float) -> np.ndarray:
-    """(1 - lam) * gibbs(beta) + lam |psi><psi| with the uniform |psi>."""
+def qutrit_state(lam, beta: float) -> np.ndarray:
+    """(1 - lam) * gibbs(beta) + lam |psi><psi| with the uniform |psi>.
+
+    A 1-D stack of weights gives the (S, 3, 3) stack of their states.
+    """
     w = gibbs_populations(QUTRIT_ENERGIES, beta)
+    lam = np.asarray(lam, dtype=float)[..., None, None]
     return (1.0 - lam) * np.diag(w).astype(complex) + lam * uniform_superposition_state(3)
 
 
 @dataclass(frozen=True, eq=False)
 class QutritCatalystSetup:
-    """Coherence weight lam in [0, 1], bath beta, and the frame state."""
+    """Coherence weight lam in [0, 1], bath beta, and the frame state.
+
+    `lam` may also be a 1-D stack of S weights that share beta: each is
+    checked as a single weight would be, the derived arrays gain a leading
+    axis of S rows, and `phi_r` is one frame for every row or an (S, 2, 2)
+    stack of them, each validated as a state.
+    """
 
     lam: float
     beta: float
     phi_r: np.ndarray = field(default=None)
 
     def __post_init__(self):
-        if not (0.0 <= self.lam <= 1.0):
-            raise ValidationError(f"lambda must lie in [0, 1], got {self.lam}")
+        lam = np.asarray(self.lam, dtype=float)
+        if lam.ndim > 1:
+            raise ValidationError(f"lambda must be a number or a 1-D stack, got shape {lam.shape}")
+        outside = lam[~((0.0 <= lam) & (lam <= 1.0))]
+        if outside.size:
+            raise ValidationError(f"lambda must lie in [0, 1], got {outside[0]}")
         if not math.isfinite(self.beta):
             raise ValidationError("beta must be finite")
-        phi = self.phi_r
-        phi = reference_catalyst() if phi is None else linalg.check_density_matrix(phi, "phi_r")
-        if phi.shape[0] != 2:
+        stacked = np.ndim(self.phi_r) == 3
+        phi = (reference_catalyst() if self.phi_r is None
+               else linalg.check_density_matrix(self.phi_r, "phi_r", stacked))
+        if phi.shape[-1] != 2:
             raise ValidationError("the reference frame must be a qubit")
+        if stacked and (lam.ndim != 1 or phi.shape[0] != lam.size):
+            raise ValidationError(f"phi_r stacks {phi.shape[0]} frames for lambda of shape "
+                                  f"{lam.shape}; need one per lambda")
         object.__setattr__(self, "phi_r", phi)
 
     @property
     def rho_a(self) -> np.ndarray:
         return qutrit_state(self.lam, self.beta)
+
+
+def _like(lam, rows: np.ndarray):
+    """A stacked result shaped like lam: its one row itself for a single weight."""
+    return rows.reshape(np.shape(lam) + rows.shape[1:])[()]
 
 
 def qutrit_block_unitary() -> np.ndarray:
@@ -431,22 +492,33 @@ def qutrit_catalyst_protocol(setup: QutritCatalystSetup) -> QutritProtocolResult
     Returns the qutrit marginal, the frame marginal, the qutrit's effective
     temperatures after the rotation, and the trace-norm distance between the
     joint state and the product of its marginals (the correlation built up).
+    For a stack of weights every field holds one row per weight, computed
+    together: the temperatures from one `extremal_pairs` call and the norms
+    from one stacked SVD.
     """
     v = qutrit_block_unitary()
-    joint = v @ linalg.tensor_product(setup.rho_a, setup.phi_r) @ v.conj().T
-    sigma_a = linalg.partial_trace(joint, (3, 2), keep="first")
-    sigma_r = linalg.partial_trace(joint, (3, 2), keep="second")
-    temps = temperatures.extremal_pair(QUTRIT_ENERGIES, np.diag(sigma_a).real)
-    correlation = linalg.trace_norm(joint - linalg.tensor_product(sigma_a, sigma_r))
-    return QutritProtocolResult(sigma_a, sigma_r, temps, correlation)
+    joint = v @ _kron(setup.rho_a.reshape(-1, 3, 3), setup.phi_r) @ v.conj().T
+    blocks = joint.reshape(-1, 3, 2, 3, 2)
+    sigma_a = np.einsum("...ikjk->...ij", blocks)
+    sigma_r = np.einsum("...kikj->...ij", blocks)
+    betas = temperatures.extremal_pairs(
+        QUTRIT_ENERGIES, np.diagonal(sigma_a, axis1=1, axis2=2).real)
+    correlation = np.linalg.svd(joint - _kron(sigma_a, sigma_r), compute_uv=False).sum(axis=1)
+    lam = setup.lam
+    temps = temperatures.EffectiveTempPair(beta_c=_like(lam, betas[:, 0]),
+                                           beta_h=_like(lam, betas[:, 1]))
+    return QutritProtocolResult(_like(lam, sigma_a), _like(lam, sigma_r), temps,
+                                _like(lam, correlation))
 
 
 def tune_catalyst(setup: QutritCatalystSetup) -> np.ndarray:
     """Frame state left invariant by the protocol at the given (lam, beta).
 
     Solves phi = Tr_A[V (rho_A (x) phi) V^dag] with `channel_fixed_point`,
-    as the Jaynes-Cummings fixed point does.  For a diagonal rho_A the
-    channel preserves diagonality, so the returned frame is diagonal.
+    as the Jaynes-Cummings fixed point does; a stack of weights is one
+    stacked solve and gives an (S, 2, 2) stack of frames.  For a diagonal
+    rho_A the channel preserves diagonality, so the returned frame is
+    diagonal.
     """
-    apply = _frame_channel(qutrit_block_unitary(), setup.rho_a, (3, 2))
-    return channel_fixed_point(apply, 2).catalyst_state
+    apply = _frame_channel(qutrit_block_unitary(), setup.rho_a.reshape(-1, 3, 3), (3, 2))
+    return _like(setup.lam, channel_fixed_point(apply, 2).catalyst_state)

@@ -19,6 +19,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -280,15 +281,6 @@ def cmd_jc(args) -> tuple[dict, list, str]:
     return results, warnings, _params_digest(params)
 
 
-def _tuned_run(lam: float, beta: float):
-    """Tune the frame at (lam, beta), run the protocol: (run, frame, frame return error)."""
-    tuned = catalysis.tune_catalyst(catalysis.QutritCatalystSetup(lam=lam, beta=beta))
-    run = catalysis.qutrit_catalyst_protocol(
-        catalysis.QutritCatalystSetup(lam=lam, beta=beta, phi_r=tuned)
-    )
-    return run, tuned, float(np.abs(run.sigma_r - tuned).max())
-
-
 def cmd_qutrit_catalyst(args) -> tuple[dict, list, str]:
     if args.sweep and args.copies is not None:
         raise ValidationError("--sweep and --copies are mutually exclusive")
@@ -296,22 +288,11 @@ def cmd_qutrit_catalyst(args) -> tuple[dict, list, str]:
         raise ValidationError(f"--copies must be at least 1, got {args.copies}")
     params = {"lambda": args.lam, "beta": args.beta}
     warnings: list[str] = []
-
-    if args.sweep:
-        rows = []
-        for lam in np.linspace(0.0, 1.0, SWEEP_GRID_POINTS):
-            run, _, residual = _tuned_run(float(lam), args.beta)
-            rows.append((float(lam), run.temps.beta_c, run.temps.beta_h, residual))
-        results = {"sweep": [list(r) for r in rows], "grid_points": SWEEP_GRID_POINTS}
-        if args.out:
-            _write_csv(args.out, ("lambda", "beta_c", "beta_h", "catalyst_residual"), rows)
-            results["csv"] = args.out
-        return results, warnings, _params_digest({**params, "sweep": True})
+    # every mode checks --lambda and --beta as one setup
+    setup = catalysis.QutritCatalystSetup(lam=args.lam, beta=args.beta)
 
     if args.copies is not None:
-        system = QuantumSystem(
-            energies=catalysis.QUTRIT_ENERGIES, rho=catalysis.qutrit_state(args.lam, args.beta)
-        )
+        system = QuantumSystem(energies=catalysis.QUTRIT_ENERGIES, rho=setup.rho_a)
         pairs = temperatures.tensor_power_pairs(system, args.copies).tolist()
         rows = [(float(n), beta_c, beta_h) for n, (beta_c, beta_h) in enumerate(pairs, 1)]
         results = {"copies": [list(r) for r in rows]}
@@ -320,7 +301,24 @@ def cmd_qutrit_catalyst(args) -> tuple[dict, list, str]:
             results["csv"] = args.out
         return results, warnings, _params_digest({**params, "copies": args.copies})
 
-    run, tuned, residual = _tuned_run(args.lam, args.beta)
+    if args.sweep:
+        setup = catalysis.QutritCatalystSetup(
+            lam=np.linspace(0.0, 1.0, SWEEP_GRID_POINTS), beta=args.beta)
+    # the frame tuned at each lambda, the protocol run with it, and the
+    # frame's return error: one stacked solve for the sweep's whole grid
+    tuned = catalysis.tune_catalyst(setup)
+    run = catalysis.qutrit_catalyst_protocol(
+        catalysis.QutritCatalystSetup(lam=setup.lam, beta=setup.beta, phi_r=tuned))
+    residual = np.abs(run.sigma_r - tuned).max(axis=(-2, -1))
+
+    if args.sweep:
+        rows = np.column_stack([setup.lam, run.temps.beta_c, run.temps.beta_h, residual])
+        results = {"sweep": rows.tolist(), "grid_points": SWEEP_GRID_POINTS}
+        if args.out:
+            _write_csv(args.out, ("lambda", "beta_c", "beta_h", "catalyst_residual"), rows)
+            results["csv"] = args.out
+        return results, warnings, _params_digest({**params, "sweep": True})
+
     results = {
         "beta_c": run.temps.beta_c,
         "beta_h": run.temps.beta_h,
@@ -342,6 +340,12 @@ def cmd_qutrit_catalyst(args) -> tuple[dict, list, str]:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a negative number in any float form is a value, not an option:
+        # argparse's own pattern has no exponent, so -1e-05 would be a flag
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     # usage problems are input errors (exit 1), reported like any other
     def error(self, message):
         raise ValidationError(message)

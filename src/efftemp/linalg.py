@@ -30,45 +30,70 @@ class BracketError(SolverError):
     """A requested mean energy lies outside the reachable open interval."""
 
 
-def as_square(a, name: str = "matrix") -> np.ndarray:
-    """Coerce to a complex square ndarray, enforcing the dense dimension cap."""
+def as_square(a, name: str = "matrix", stacked: bool = False) -> np.ndarray:
+    """Coerce to a complex square ndarray, enforcing the dense dimension cap.
+
+    With `stacked`, `a` must be an (S, d, d) stack of square matrices.
+    """
     arr = np.asarray(a, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
+    if arr.ndim != 2 + stacked or arr.shape[-1] != arr.shape[-2] or 0 in arr.shape:
         raise ValidationError(f"{name} must be square, got shape {arr.shape}")
-    if arr.shape[0] > MAX_DIM:
-        raise ValidationError(f"{name} dimension {arr.shape[0]} exceeds the dense cap {MAX_DIM}")
+    if arr.shape[-1] > MAX_DIM:
+        raise ValidationError(f"{name} dimension {arr.shape[-1]} exceeds the dense cap {MAX_DIM}")
     return arr
 
 
-def check_hermitian(a, tol: float = HERMITIAN_TOL, name: str = "operator") -> np.ndarray:
-    """Validate finite entries and Hermiticity within `tol`; return the array."""
-    arr = as_square(a, name)
+def _first_failure(values, ok) -> np.generic:
+    """The first of `values` (one per matrix) whose `ok` is False."""
+    return np.ravel(values)[~np.ravel(ok)][0]
+
+
+def check_hermitian(a, tol: float = HERMITIAN_TOL, name: str = "operator",
+                    stacked: bool = False) -> np.ndarray:
+    """Validate finite entries and Hermiticity within `tol`; return the array.
+
+    With `stacked`, each matrix of an (S, d, d) stack is checked, and a
+    failure names the first failing matrix's deviation.
+    """
+    arr = as_square(a, name, stacked)
     if not np.isfinite(arr).all():
         raise ValidationError(f"{name} must be finite: it has a NaN or infinite entry")
-    dev = np.abs(arr - arr.conj().T).max()
-    if not dev <= tol:
+    dev = np.abs(arr - arr.conj().swapaxes(-1, -2))
+    if not dev.max() <= tol:
+        dev = dev.max(axis=(-2, -1))
+        dev = _first_failure(dev, dev <= tol)
         raise ValidationError(f"{name} is not Hermitian: max deviation {dev:.3e} > {tol:.0e}")
     return arr
 
 
-def checked_state(rho, name: str = "state") -> tuple[np.ndarray, np.ndarray]:
-    """check_density_matrix that also returns the spectrum it computed."""
+def checked_state(rho, name: str = "state", stacked: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """check_density_matrix that also returns the spectrum it computed.
+
+    With `stacked`, the spectra of an (S, d, d) stack come as an (S, d) array.
+    """
     # entries near the float limit overflow the Hermiticity deviation or the
     # trace to inf, which the checks reject with their usual messages
     with np.errstate(over="ignore"):
-        arr = check_hermitian(rho, STATE_HERMITIAN_TOL, name)
-        tr = complex(np.trace(arr))
-    if not abs(tr - 1.0) <= TRACE_TOL:
+        arr = check_hermitian(rho, STATE_HERMITIAN_TOL, name, stacked)
+        tr = arr.trace(axis1=-2, axis2=-1)
+    ok = abs(tr - 1.0) <= TRACE_TOL
+    if not ok.all():
+        tr = complex(_first_failure(tr, ok))
         raise ValidationError(f"{name} trace {tr:.12g} differs from 1 beyond {TRACE_TOL:.0e}")
     w = np.linalg.eigvalsh(arr)
     if not w.min() >= EIG_FLOOR:
-        raise ValidationError(f"{name} has negative eigenvalue {w.min():.3e}")
+        low = w.min(axis=-1)
+        raise ValidationError(
+            f"{name} has negative eigenvalue {_first_failure(low, low >= EIG_FLOOR):.3e}")
     return arr, w
 
 
-def check_density_matrix(rho, name: str = "state") -> np.ndarray:
-    """Validate finite entries, Hermiticity, unit trace and nonnegative spectrum."""
-    return checked_state(rho, name)[0]
+def check_density_matrix(rho, name: str = "state", stacked: bool = False) -> np.ndarray:
+    """Validate finite entries, Hermiticity, unit trace and nonnegative spectrum.
+
+    With `stacked`, every matrix of an (S, d, d) stack is validated.
+    """
+    return checked_state(rho, name, stacked)[0]
 
 
 def hermitian_eig(op, tol: float = HERMITIAN_TOL) -> tuple[np.ndarray, np.ndarray]:

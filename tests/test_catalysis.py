@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import random_density, random_unitary
-from efftemp import catalysis, cli, linalg
+from efftemp import catalysis, cli, linalg, temperatures
 from efftemp.catalysis import (
     CATALYST_ENERGIES,
     QUTRIT_ENERGIES,
@@ -97,7 +97,7 @@ def _atom_channel_at_tau(config: JCConfig):
     """The atom channel at tau of a uniform cavity, built independently of the config's cache."""
     u = linalg.unitary_evolution(jc_hamiltonian(config), config.tau)
     return catalysis._frame_channel(
-        u, uniform_superposition_state(config.fock_levels), (config.fock_levels, 2)
+        u, uniform_superposition_state(config.fock_levels)[None], (config.fock_levels, 2)
     )
 
 
@@ -106,10 +106,11 @@ def _averaged_fixed_point(apply_channel, dim: int, tol: float) -> np.ndarray:
 
     The averaging damps the rotating spectrum, so the iterates approach the
     Cesaro fixed point from I/d even when the fixed space is degenerate.
+    `apply_channel` is a one-channel stack, as `channel_fixed_point` takes.
     """
     x = np.eye(dim, dtype=complex) / dim
     for _ in range(200000):
-        fx = apply_channel(x)
+        fx = apply_channel(x[None, None])[0, 0]
         if linalg.trace_distance(fx, x) <= tol:
             return x
         x = (x + fx) / 2
@@ -134,14 +135,14 @@ class TestFixedPoint:
     def _channel(case: str):
         if case == "qutrit":
             setup = QutritCatalystSetup(lam=0.8, beta=1.0)
-            return catalysis._frame_channel(qutrit_block_unitary(), setup.rho_a, (3, 2))
+            return catalysis._frame_channel(qutrit_block_unitary(), setup.rho_a[None], (3, 2))
         return _atom_channel_at_tau(DEFAULT_CONFIG if case == "jc" else JCConfig(g=0.0))
 
     @pytest.mark.parametrize("case", ["jc", "jc_g0", "qutrit"])
     def test_matches_the_averaged_iteration(self, case):
         # jc_g0 leaves every atom state fixed: a degenerate unit eigenvalue
         apply = self._channel(case)
-        x = channel_fixed_point(apply, 2).catalyst_state
+        x = channel_fixed_point(apply, 2).catalyst_state[0]
         assert linalg.trace_distance(x, _averaged_fixed_point(apply, 2, tol=1e-12)) <= 1e-8
 
     def test_degenerate_fixed_space_is_projected_exactly(self):
@@ -151,8 +152,9 @@ class TestFixedPoint:
         k1 = np.zeros((3, 3), dtype=complex)
         k1[0, 2] = 1.0
         result = channel_fixed_point(lambda x: k0 @ x @ k0.conj().T + k1 @ x @ k1.conj().T, 3)
-        assert_allclose(result.catalyst_state, np.diag([2 / 3, 1 / 3, 0.0]), rtol=0, atol=1e-12)
-        assert result.fixed_point_residual <= 1e-15
+        assert_allclose(result.catalyst_state[0], np.diag([2 / 3, 1 / 3, 0.0]), rtol=0, atol=1e-12)
+        assert result.fixed_point_residual.shape == (1,)
+        assert result.fixed_point_residual[0] <= 1e-15
 
     def test_jordan_block_at_one_raises_solver_error(self):
         # a linear map whose M - I is one nilpotent Jordan block: its right and
@@ -160,7 +162,8 @@ class TestFixedPoint:
         m = np.eye(4, dtype=complex) + np.eye(4, k=1)
 
         def apply(x: np.ndarray) -> np.ndarray:
-            return (m @ x.reshape(-1)).reshape(2, 2)
+            # vec(x) -> m vec(x) for each 2x2 matrix of the stack
+            return (x.reshape(x.shape[:-2] + (4,)) @ m.T).reshape(x.shape)
 
         with pytest.raises(SolverError, match="not semisimple"):
             channel_fixed_point(apply, 2)
@@ -173,8 +176,9 @@ class TestFixedPoint:
     def test_returned_residual_is_the_last_check(self, case):
         apply = self._channel(case)
         result = channel_fixed_point(apply, 2)
-        x = result.catalyst_state
-        assert result.fixed_point_residual.hex() == linalg.trace_distance(apply(x), x).hex()
+        x = result.catalyst_state[0]
+        residual = linalg.trace_distance(apply(x[None, None])[0, 0], x)
+        assert result.fixed_point_residual[0].hex() == residual.hex()
 
     def test_fixed_point_is_catalytic_at_tau(self):
         result = solve_catalyst_fixed_point(DEFAULT_CONFIG, uniform_superposition_state(3))
@@ -542,3 +546,265 @@ class TestCopiesEquivalence:
         pair_11 = tensor_power_effective(system, 11)
         assert abs(pair_11.beta_c - cat.beta_c) < 0.06
         assert abs(pair_11.beta_h - cat.beta_h) < 0.01
+
+
+# ---------------------------------------------------------------------------
+# the stacked solve against the per-lambda path it replaces
+
+
+def _per_unit_fixed_point(apply, dim: int) -> tuple[np.ndarray, float, bool]:
+    """One channel's fixed point as solved before stacking: a 2-D channel
+    applied once per matrix unit, one SVD, one 2-D solve.
+
+    Returns the state, its residual and whether the negativity floor clipped it.
+    """
+    m = np.zeros((dim * dim, dim * dim), dtype=complex)
+    for k in range(dim):
+        for l in range(dim):
+            unit = np.zeros((dim, dim), dtype=complex)
+            unit[k, l] = 1.0
+            m[:, k * dim + l] = apply(unit).reshape(-1)
+    u, s, vh = np.linalg.svd(m - np.eye(dim * dim))
+    null = s <= catalysis.EIGENVALUE_ONE_TOL
+    n, w_h = vh[null].conj().T, u[:, null].conj().T
+    coef = np.linalg.solve(w_h @ n, w_h @ (np.eye(dim) / dim).reshape(-1))
+    x = (n @ coef).reshape(dim, dim)
+    x = (x + x.conj().T) / 2
+    x = x / float(np.trace(x).real)
+    w = np.linalg.eigvalsh(x)
+    assert w.min() >= -catalysis.NEGATIVITY_TOL
+    if w.min() < 0.0:
+        vals, vecs = np.linalg.eigh(x)
+        x = (vecs * np.maximum(vals, 0.0)) @ vecs.conj().T
+        x = x / np.trace(x).real
+    return x, linalg.trace_distance(apply(x), x), bool(w.min() < 0.0)
+
+
+def _per_unit_frame_channel(u, state, dims):
+    def apply(x):
+        joint = u @ linalg.tensor_product(state, x) @ u.conj().T
+        return linalg.partial_trace(joint, dims, keep="second")
+
+    return apply
+
+
+class PerLambdaRun(NamedTuple):
+    frame: np.ndarray
+    sigma_a: np.ndarray
+    sigma_r: np.ndarray
+    beta_c: float
+    beta_h: float
+    correlation_norm: float
+    residual: float  # the CLI's catalyst_residual: max |sigma_r - frame|
+
+
+def per_lambda_run(lam: float, beta: float) -> PerLambdaRun:
+    """One lambda of the sweep as it ran before stacking, all in 2-D arrays:
+    tune the frame, validate it, run the protocol with it."""
+    v = qutrit_block_unitary()
+    rho = (1.0 - lam) * np.diag(gibbs_populations(QUTRIT_ENERGIES, beta)).astype(complex) \
+        + lam * uniform_superposition_state(3)
+    frame, _, _ = _per_unit_fixed_point(_per_unit_frame_channel(v, rho, (3, 2)), 2)
+    frame = linalg.check_density_matrix(frame)
+    joint = v @ linalg.tensor_product(rho, frame) @ v.conj().T
+    sigma_a = linalg.partial_trace(joint, (3, 2), keep="first")
+    sigma_r = linalg.partial_trace(joint, (3, 2), keep="second")
+    pair = temperatures.extremal_pair(QUTRIT_ENERGIES, np.diag(sigma_a).real)
+    correlation = linalg.trace_norm(joint - linalg.tensor_product(sigma_a, sigma_r))
+    return PerLambdaRun(frame, sigma_a, sigma_r, pair.beta_c, pair.beta_h, correlation,
+                        float(np.abs(sigma_r - frame).max()))
+
+
+SWEEP_GRID = np.linspace(0.0, 1.0, cli.SWEEP_GRID_POINTS)
+SWEEP_BETAS = [-3.0, -1.0, 0.0, 0.37, 1.0, 3.0, 40.0, 1e308]
+
+
+def stacked_runs(lams, beta: float):
+    """The stacked path the CLI takes: tune every frame, then one protocol run."""
+    frames = tune_catalyst(QutritCatalystSetup(lam=lams, beta=beta))
+    run = qutrit_catalyst_protocol(QutritCatalystSetup(lam=lams, beta=beta, phi_r=frames))
+    return frames, run
+
+
+def row_channels(*channels):
+    """One stacked channel whose rows are one-channel stacks of their own."""
+    def apply(x):
+        x = np.broadcast_to(x, (len(channels),) + x.shape[1:])
+        return np.concatenate([ch(xi[None]) for ch, xi in zip(channels, x)])
+
+    return apply
+
+
+class TestStackedSolve:
+    @pytest.mark.parametrize("beta", SWEEP_BETAS)
+    def test_sweep_matches_the_per_lambda_path_bit_for_bit(self, beta):
+        frames, run = stacked_runs(SWEEP_GRID, beta)
+        residual = np.abs(run.sigma_r - frames).max(axis=(1, 2))
+        assert frames.shape == (41, 2, 2) and run.sigma_a.shape == (41, 3, 3)
+        for k, lam in enumerate(SWEEP_GRID):
+            want = per_lambda_run(float(lam), beta)
+            assert frames[k].tobytes() == want.frame.tobytes(), lam
+            assert run.sigma_a[k].tobytes() == want.sigma_a.tobytes(), lam
+            assert run.sigma_r[k].tobytes() == want.sigma_r.tobytes(), lam
+            got = (run.temps.beta_c[k], run.temps.beta_h[k], run.correlation_norm[k], residual[k])
+            assert [float(g).hex() for g in got] == [
+                float(w).hex() for w in (want.beta_c, want.beta_h, want.correlation_norm,
+                                         want.residual)], lam
+
+    @pytest.mark.parametrize("beta", [-1.0, 0.37, 3.0])
+    def test_one_row_stacks_give_the_many_row_bits(self, beta):
+        frames, run = stacked_runs(SWEEP_GRID, beta)
+        fields = ("sigma_a", "sigma_r", "correlation_norm")
+        for k in (0, 1, 20, 39, 40):
+            one_frames, one_run = stacked_runs(SWEEP_GRID[k:k + 1], beta)
+            assert one_frames.tobytes() == frames[k:k + 1].tobytes()
+            for name in fields:
+                assert getattr(one_run, name).tobytes() == getattr(run, name)[k:k + 1].tobytes()
+            for name in ("beta_c", "beta_h"):
+                got, want = getattr(one_run.temps, name), getattr(run.temps, name)
+                assert got.tobytes() == want[k:k + 1].tobytes()
+
+    def test_a_single_weight_is_the_one_row_case(self):
+        frames, run = stacked_runs(SWEEP_GRID[7:8], 0.37)
+        frame = tune_catalyst(QutritCatalystSetup(lam=float(SWEEP_GRID[7]), beta=0.37))
+        single = qutrit_catalyst_protocol(
+            QutritCatalystSetup(lam=float(SWEEP_GRID[7]), beta=0.37, phi_r=frame))
+        assert frame.shape == (2, 2) and frame.tobytes() == frames[0].tobytes()
+        assert single.sigma_a.tobytes() == run.sigma_a[0].tobytes()
+        assert single.sigma_r.tobytes() == run.sigma_r[0].tobytes()
+        assert isinstance(single.temps.beta_c, float) and isinstance(single.correlation_norm, float)
+        assert single.temps.beta_c.hex() == float(run.temps.beta_c[0]).hex()
+        assert single.temps.beta_h.hex() == float(run.temps.beta_h[0]).hex()
+        assert single.correlation_norm.hex() == float(run.correlation_norm[0]).hex()
+
+    def test_channel_stack_matches_each_channel_alone(self):
+        states = qutrit_state(SWEEP_GRID, 0.37)
+        v = qutrit_block_unitary()
+        stacked = channel_fixed_point(catalysis._frame_channel(v, states, (3, 2)), 2)
+        for k, state in enumerate(states):
+            alone = channel_fixed_point(catalysis._frame_channel(v, state[None], (3, 2)), 2)
+            assert alone.catalyst_state.tobytes() == stacked.catalyst_state[k:k + 1].tobytes()
+            assert (alone.fixed_point_residual.tobytes()
+                    == stacked.fixed_point_residual[k:k + 1].tobytes())
+            want, residual, _ = _per_unit_fixed_point(_per_unit_frame_channel(v, state, (3, 2)), 2)
+            assert alone.catalyst_state[0].tobytes() == want.tobytes()
+            assert alone.fixed_point_residual[0].hex() == residual.hex()
+
+    def test_one_call_mixes_null_space_dimensions(self):
+        # at g = 0 every diagonal atom state is fixed: M - I has a
+        # 2-dimensional null space, against one dimension at g = 0.1
+        jc_g0 = _atom_channel_at_tau(JCConfig(g=0.0))
+        jc = _atom_channel_at_tau(DEFAULT_CONFIG)
+        units = np.eye(4, dtype=complex).reshape(1, 4, 2, 2)
+        null_dims = []
+        for channel in (jc_g0, jc):
+            m = channel(units).reshape(4, 4).T
+            s = np.linalg.svd(m - np.eye(4), compute_uv=False)
+            null_dims.append(int((s <= catalysis.EIGENVALUE_ONE_TOL).sum()))
+        assert null_dims == [2, 1]
+        rows = (jc_g0, jc, jc, jc_g0, jc)
+        mixed = channel_fixed_point(row_channels(*rows), 2)
+        for k, channel in enumerate(rows):
+            alone = channel_fixed_point(channel, 2)
+            assert alone.catalyst_state.tobytes() == mixed.catalyst_state[k:k + 1].tobytes()
+            assert (alone.fixed_point_residual.tobytes()
+                    == mixed.fixed_point_residual[k:k + 1].tobytes())
+            want, residual, _ = _per_unit_fixed_point(
+                lambda x, ch=channel: ch(x[None, None])[0, 0], 2)
+            assert alone.catalyst_state[0].tobytes() == want.tobytes()
+        assert_allclose(mixed.catalyst_state[0], np.eye(2) / 2, rtol=0, atol=1e-12)
+
+    def test_the_damping_channel_matches_the_per_unit_path(self):
+        # a 2-dimensional null space in a 3-level system
+        k0 = np.diag([1.0, 1.0, 0.0]).astype(complex)
+        k1 = np.zeros((3, 3), dtype=complex)
+        k1[0, 2] = 1.0
+
+        def damping(x):
+            return k0 @ x @ k0.conj().T + k1 @ x @ k1.conj().T
+
+        want, residual, _ = _per_unit_fixed_point(damping, 3)
+        got = channel_fixed_point(damping, 3)
+        assert got.catalyst_state[0].tobytes() == want.tobytes()
+        assert got.fixed_point_residual[0].hex() == residual.hex()
+
+    def test_floored_rows_match_their_own_solves(self):
+        # amplitude damping towards a rotated pure state: the projected fixed
+        # point has an eigenvalue of 0 that rounding leaves at about -1e-17
+        # in some rows, which the negativity floor then clips
+        rng = np.random.default_rng(5)
+        kraus = []
+        for gamma in rng.uniform(0.1, 0.9, 12):
+            w = random_unitary(rng, 2)
+            k0 = np.diag([1.0, math.sqrt(1.0 - gamma)]).astype(complex)
+            k1 = np.array([[0.0, math.sqrt(gamma)], [0.0, 0.0]], dtype=complex)
+            kraus.append([w @ k @ w.conj().T for k in (k0, k1)])
+        k0s, k1s = (np.array(k)[:, None] for k in zip(*kraus))
+
+        def damping(x):
+            return k0s @ x @ k0s.conj().swapaxes(-1, -2) + k1s @ x @ k1s.conj().swapaxes(-1, -2)
+
+        stacked = channel_fixed_point(damping, 2)
+        floored = 0
+        for k, (k0, k1) in enumerate(kraus):
+            def alone(x, k0=k0, k1=k1):
+                return k0 @ x @ k0.conj().T + k1 @ x @ k1.conj().T
+
+            want, residual, clipped = _per_unit_fixed_point(alone, 2)
+            assert stacked.catalyst_state[k].tobytes() == want.tobytes()
+            assert stacked.fixed_point_residual[k].hex() == residual.hex()
+            floored += clipped
+        assert 0 < floored < len(kraus)
+
+    def test_a_failing_row_aborts_the_stack(self):
+        # x -> x / 2 has no fixed point; one such row fails the whole stack
+        jc = _atom_channel_at_tau(DEFAULT_CONFIG)
+        with pytest.raises(SolverError, match="no eigenvalue within 1e-8 of 1"):
+            channel_fixed_point(row_channels(jc, lambda x: x / 2, jc), 2)
+
+    def test_a_later_row_over_the_residual_bound_aborts_the_stack(self):
+        def residual(channel):
+            return float(channel_fixed_point(channel, 2).fixed_point_residual[0])
+
+        rows = [_atom_channel_at_tau(JCConfig(g=0.0)), _atom_channel_at_tau(DEFAULT_CONFIG)]
+        rows.sort(key=residual)
+        low, high = map(residual, rows)
+        tol = (low + high) / 2  # between the two: only the second row fails
+        assert low < tol < high
+        with pytest.raises(SolverError, match="fixed point residual exceeds"):
+            channel_fixed_point(row_channels(*rows), 2, tol=tol)
+        assert channel_fixed_point(row_channels(rows[0], rows[0]), 2, tol=tol)
+
+
+class TestStackedSetup:
+    def test_each_weight_is_checked(self):
+        with pytest.raises(ValidationError, match=r"lambda must lie in \[0, 1\], got 1.2$"):
+            QutritCatalystSetup(lam=np.array([0.0, 0.5, 1.2, -0.1]), beta=0.3)
+        with pytest.raises(ValidationError, match=r"got -0.1$"):
+            QutritCatalystSetup(lam=np.array([0.0, -0.1, 1.2]), beta=0.3)
+        with pytest.raises(ValidationError, match=r"got nan$"):
+            QutritCatalystSetup(lam=np.array([0.5, math.nan]), beta=0.3)
+        with pytest.raises(ValidationError, match="beta must be finite"):
+            QutritCatalystSetup(lam=SWEEP_GRID, beta=math.inf)
+        with pytest.raises(ValidationError, match="1-D stack"):
+            QutritCatalystSetup(lam=np.zeros((2, 2)), beta=0.3)
+
+    def test_each_frame_is_validated(self):
+        frames = np.array([reference_catalyst()] * 3)
+        frames[1] = np.diag([1.2, -0.2])
+        with pytest.raises(ValidationError, match="phi_r has negative eigenvalue -2.000e-01"):
+            QutritCatalystSetup(lam=np.array([0.1, 0.2, 0.3]), beta=0.3, phi_r=frames)
+        with pytest.raises(ValidationError, match="one per lambda"):
+            QutritCatalystSetup(lam=np.array([0.1, 0.2]), beta=0.3, phi_r=frames[[0, 2, 0]])
+        with pytest.raises(ValidationError, match="one per lambda"):
+            QutritCatalystSetup(lam=0.1, beta=0.3, phi_r=frames[:1])
+        with pytest.raises(ValidationError, match="qubit"):
+            QutritCatalystSetup(lam=np.array([0.1]), beta=0.3, phi_r=np.eye(3)[None] / 3)
+
+    def test_one_frame_serves_every_weight(self):
+        run = qutrit_catalyst_protocol(QutritCatalystSetup(lam=SWEEP_GRID, beta=0.0))
+        for k in (0, 13, 40):
+            single = qutrit_catalyst_protocol(
+                QutritCatalystSetup(lam=float(SWEEP_GRID[k]), beta=0.0))
+            assert single.sigma_a.tobytes() == run.sigma_a[k].tobytes()
+            assert single.temps.beta_c.hex() == float(run.temps.beta_c[k]).hex()

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -467,6 +468,35 @@ class TestQutritCatalyst:
         assert "results" not in report
 
 
+    MODES = {"plain": [], "sweep": ["--sweep"], "copies": ["--copies", "3"]}
+
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    @pytest.mark.parametrize("argv,error", [
+        (["--beta", "inf"], "beta must be finite"),
+        (["--lambda", "-0.1", "--beta", "0.5"], "lambda must lie in [0, 1], got -0.1"),
+        (["--lambda", "1.2"], "lambda must lie in [0, 1], got 1.2"),
+        (["--lambda=nan"], "lambda must lie in [0, 1], got nan"),
+    ])
+    def test_every_mode_checks_lambda_and_beta_alike(self, capsys, mode, argv, error):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["qutrit-catalyst", *argv, *self.MODES[mode]])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (1, "")
+        report = json.loads(captured.out)
+        assert report["status"] == 1 and report["error"] == error
+
+    @pytest.mark.parametrize("beta", ["0", "0.37", "-0.8"])
+    def test_sweep_rows_are_the_plain_runs(self, capsys, beta):
+        code, sweep = run_cli(capsys, "qutrit-catalyst", f"--beta={beta}", "--sweep")
+        assert code == 0 and len(sweep["results"]["sweep"]) == 41
+        for lam, beta_c, beta_h, residual in sweep["results"]["sweep"][::8]:
+            code, plain = run_cli(capsys, "qutrit-catalyst", f"--lambda={lam!r}", f"--beta={beta}")
+            r = plain["results"]
+            assert code == 0
+            assert [beta_c, beta_h, residual] == [r["beta_c"], r["beta_h"], r["catalyst_residual"]]
+
+
 class TestUsageAndEntryPoint:
     @pytest.mark.parametrize("argv,command,error", [
         ([], None, "the following arguments are required: command"),
@@ -485,6 +515,39 @@ class TestUsageAndEntryPoint:
         assert set(report) == {"command", "params", "error", "status"}
         assert (report["command"], report["params"], report["status"]) == (command, {}, 1)
         assert report["error"].startswith(error)
+
+    @staticmethod
+    def float_options():
+        """(subcommand, option, dest) of every float-typed option of the parser."""
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        return [(name, action.option_strings[0], action.dest)
+                for name, parser in sorted(sub.choices.items())
+                for action in parser._actions if action.type is float]
+
+    def test_the_float_options_are_known(self):
+        assert [option[:2] for option in self.float_options()] == [
+            ("asymptotic", "--delta"), ("jc", "--omega"), ("jc", "--g"), ("jc", "--tau"),
+            ("oracle", "--beta-bath"), ("qutrit-catalyst", "--lambda"),
+            ("qutrit-catalyst", "--beta"),
+        ]
+
+    @pytest.mark.parametrize("number", ["-1e-05", "-2.5E+3", "-.5e1", "-3", "-0.25", "-7."])
+    def test_negative_numbers_in_every_float_form_are_values(self, number):
+        for command, option, dest in self.float_options():
+            argv = [command] + (["s.json"] if command in ("asymptotic", "oracle") else [])
+            args = build_parser().parse_args(argv + [option, number])
+            assert getattr(args, dest) == float(number), (command, option)
+
+    def test_a_negative_exponent_bath_runs(self, capsys, tmp_path):
+        path = write_json(tmp_path / "s.json", {"energies": [0, 1], "populations": [0.6, 0.4]})
+        code, spaced = run_cli(capsys, "oracle", path, "--beta-bath", "-1e-05")
+        assert code == 0 and spaced["results"]["beta_bath"] == -1e-05
+        code, joined = run_cli(capsys, "oracle", path, "--beta-bath=-1e-05")
+        assert spaced == joined
+
+    def test_a_negative_non_number_is_still_an_option(self, capsys):
+        code, report = run_cli(capsys, "qutrit-catalyst", "--beta", "-x")
+        assert code == 1 and report["error"] == "argument --beta: expected one argument"
 
     def test_usage_error_in_a_fresh_process(self, tmp_path):
         proc = subprocess.run(

@@ -201,3 +201,39 @@ class TestValidation:
     def test_energy_ladder_cap(self):
         with pytest.raises(ValidationError, match="cap 4096"):
             check_energy_levels(np.arange(4097.0))
+
+
+class TestStackedValidation:
+    """check_density_matrix(stacked=True) validates each matrix of a stack."""
+
+    def test_a_valid_stack_keeps_each_matrix_bits_and_spectrum(self, rng):
+        stack = np.array([random_density(rng, 3) for _ in range(5)])
+        arr, w = linalg.checked_state(stack, stacked=True)
+        assert arr.tobytes() == stack.tobytes() and w.shape == (5, 3)
+        for k, rho in enumerate(stack):
+            assert w[k].tobytes() == linalg.checked_state(rho)[1].tobytes()
+
+    @pytest.mark.parametrize("bad,message", [
+        (np.array([[0.5, 0.1], [0.3, 0.5]]), r"is not Hermitian: max deviation 2.000e-01"),
+        (np.diag([0.5, 0.4]), r"trace 0.9\+0j differs from 1"),
+        (np.diag([1.1, -0.1]), r"has negative eigenvalue -1.000e-01"),
+        (np.array([[0.5, np.inf], [np.inf, 0.5]]), r"must be finite"),
+    ])
+    def test_the_first_failing_matrix_is_named_as_alone(self, bad, message):
+        good = np.eye(2) / 2
+        worse = 2 * bad - good  # fails the same check by more
+        with pytest.raises(ValidationError, match=message) as alone:
+            linalg.check_density_matrix(bad, "phi")
+        for stack in ([good, bad, worse], [bad, good]):
+            with pytest.raises(ValidationError) as stacked:
+                linalg.check_density_matrix(np.array(stack), "phi", stacked=True)
+            assert str(stacked.value) == str(alone.value)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 2, 3), (0, 2, 2), (2, 2, 2, 2)])
+    def test_a_stack_must_be_three_dimensional_and_square(self, shape):
+        with pytest.raises(ValidationError, match="must be square"):
+            linalg.check_density_matrix(np.zeros(shape), stacked=True)
+
+    def test_unstacked_checks_reject_a_stack(self):
+        with pytest.raises(ValidationError, match="must be square"):
+            linalg.check_density_matrix(np.array([np.eye(2) / 2] * 3))
