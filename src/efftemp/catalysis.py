@@ -229,19 +229,10 @@ def channel_fixed_point(apply_channel, dim: int, tol: float = FIXED_POINT_TOL) -
         vals, vecs = np.linalg.eigh(x[negative])
         floored = (vecs * np.maximum(vals, 0.0)[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
         x[negative] = floored / np.trace(floored, axis1=1, axis2=2).real[:, None, None]
-    diff = apply_channel(x[:, None])[:, 0] - x
-    diff = (diff + diff.conj().transpose(0, 2, 1)) / 2
-    residual = np.abs(np.linalg.eigvalsh(diff)).sum(axis=1) / 2  # linalg.trace_distance per row
+    residual = linalg.trace_distance(apply_channel(x[:, None])[:, 0], x)
     if (residual > tol).any():
         raise SolverError(f"fixed point residual exceeds {tol:.0e}")
     return CatalysisResult(catalyst_state=x, fixed_point_residual=residual)
-
-
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker products of the last two axes of a and b, broadcast over the others."""
-    out = a[..., :, None, :, None] * b[..., None, :, None, :]
-    d = a.shape[-1] * b.shape[-1]
-    return out.reshape(out.shape[:-4] + (d, d))
 
 
 def _frame_channel(u: np.ndarray, states: np.ndarray, dims: tuple[int, int]):
@@ -252,13 +243,13 @@ def _frame_channel(u: np.ndarray, states: np.ndarray, dims: tuple[int, int]):
     The k operators are taken one at a time, each for all S channels at once,
     so a large joint space (the cavity's) holds one stack of joint states.
     """
-    d1, d2 = dims
+    d2 = dims[1]
 
     def apply(x: np.ndarray) -> np.ndarray:
         images = np.empty(np.broadcast_shapes(x.shape, (states.shape[0], 1, d2, d2)), complex)
         for q in range(x.shape[1]):
-            joint = u @ _kron(states, x[:, q]) @ u.conj().T
-            images[:, q] = np.einsum("skikj->sij", joint.reshape(-1, d1, d2, d1, d2))
+            joint = u @ linalg.tensor_product(states, x[:, q]) @ u.conj().T
+            images[:, q] = linalg.partial_trace(joint, dims, keep="second")
             del joint  # freed before the next operator's joint states are built
         return images
 
@@ -272,7 +263,7 @@ def _frame_channel(u: np.ndarray, states: np.ndarray, dims: tuple[int, int]):
 def solve_catalyst_fixed_point(config: JCConfig, cavity_state) -> CatalysisResult:
     """Atom state X with X = Tr_A[U(tau) (rho_A (x) X) U(tau)^dag]."""
     rho_a = linalg.check_density_matrix(cavity_state, "cavity state")
-    if rho_a.shape[0] != config.fock_levels:
+    if rho_a.shape != (config.fock_levels,) * 2:
         raise ValidationError("cavity state dimension != fock_levels")
     w, v = config.eigensystem
     u = (v * np.exp(-1j * w * config.tau)) @ v.conj().T  # linalg.unitary_evolution's arithmetic
@@ -365,7 +356,7 @@ def run_time_series(config: JCConfig, cavity_state, atom_state) -> TimeSeriesRes
     """
     rho_a = linalg.check_density_matrix(cavity_state, "cavity state")
     atom0 = linalg.check_density_matrix(atom_state, "atom state")
-    if rho_a.shape[0] != config.fock_levels or atom0.shape[0] != 2:
+    if rho_a.shape != (config.fock_levels,) * 2 or atom0.shape != (2, 2):
         raise ValidationError("state dimensions do not match the configuration")
     grid = config.time_grid
     rows = np.empty((grid.size, len(TIME_SERIES_COLUMNS)))
@@ -420,8 +411,8 @@ class QutritCatalystSetup:
 
     `lam` may also be a 1-D stack of S weights that share beta: each is
     checked as a single weight would be, the derived arrays gain a leading
-    axis of S rows, and `phi_r` is one frame for every row or an (S, 2, 2)
-    stack of them, each validated as a state.
+    axis of S rows, and `phi_r` is one (2, 2) frame for every row or an
+    (S, 2, 2) stack of them, each validated as a state.
     """
 
     lam: float
@@ -437,12 +428,13 @@ class QutritCatalystSetup:
             raise ValidationError(f"lambda must lie in [0, 1], got {outside[0]}")
         if not math.isfinite(self.beta):
             raise ValidationError("beta must be finite")
-        stacked = np.ndim(self.phi_r) == 3
+        if np.ndim(self.phi_r) > 3:
+            raise ValidationError(f"phi_r must be square, got shape {np.shape(self.phi_r)}")
         phi = (reference_catalyst() if self.phi_r is None
-               else linalg.check_density_matrix(self.phi_r, "phi_r", stacked))
+               else linalg.check_density_matrix(self.phi_r, "phi_r"))
         if phi.shape[-1] != 2:
             raise ValidationError("the reference frame must be a qubit")
-        if stacked and (lam.ndim != 1 or phi.shape[0] != lam.size):
+        if phi.ndim == 3 and (lam.ndim != 1 or phi.shape[0] != lam.size):
             raise ValidationError(f"phi_r stacks {phi.shape[0]} frames for lambda of shape "
                                   f"{lam.shape}; need one per lambda")
         object.__setattr__(self, "phi_r", phi)
@@ -497,13 +489,12 @@ def qutrit_catalyst_protocol(setup: QutritCatalystSetup) -> QutritProtocolResult
     from one stacked SVD.
     """
     v = qutrit_block_unitary()
-    joint = v @ _kron(setup.rho_a.reshape(-1, 3, 3), setup.phi_r) @ v.conj().T
-    blocks = joint.reshape(-1, 3, 2, 3, 2)
-    sigma_a = np.einsum("...ikjk->...ij", blocks)
-    sigma_r = np.einsum("...kikj->...ij", blocks)
+    joint = v @ linalg.tensor_product(setup.rho_a.reshape(-1, 3, 3), setup.phi_r) @ v.conj().T
+    sigma_a = linalg.partial_trace(joint, (3, 2), keep="first")
+    sigma_r = linalg.partial_trace(joint, (3, 2), keep="second")
     betas = temperatures.extremal_pairs(
         QUTRIT_ENERGIES, np.diagonal(sigma_a, axis1=1, axis2=2).real)
-    correlation = np.linalg.svd(joint - _kron(sigma_a, sigma_r), compute_uv=False).sum(axis=1)
+    correlation = linalg.trace_norm(joint - linalg.tensor_product(sigma_a, sigma_r))
     lam = setup.lam
     temps = temperatures.EffectiveTempPair(beta_c=_like(lam, betas[:, 0]),
                                            beta_h=_like(lam, betas[:, 1]))

@@ -342,9 +342,11 @@ def cmd_qutrit_catalyst(args) -> tuple[dict, list, str]:
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # a negative number in any float form is a value, not an option:
-        # argparse's own pattern has no exponent, so -1e-05 would be a flag
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        # a negative number in any form float() reads is a value, not an
+        # option: argparse's own pattern has no exponent, inf or nan, so
+        # -1e-05 and -inf would be flags
+        self._negative_number_matcher = re.compile(
+            r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan)$", re.IGNORECASE)
 
     # usage problems are input errors (exit 1), reported like any other
     def error(self, message):

@@ -2,8 +2,9 @@
 
 Operators and states are plain numpy arrays.  A density matrix is Hermitian
 with unit trace and nonnegative spectrum (within tolerance); a Hamiltonian is
-Hermitian with energies in units where hbar = k_B = 1.  Everything here is a
-pure function on immutable inputs, so the module is thread-safe.
+Hermitian with energies in units where hbar = k_B = 1.  Every helper but
+von_neumann_entropy also maps a (..., d, d) stack, matrix by matrix.  All are
+pure functions on immutable inputs, so the module is thread-safe.
 """
 
 from __future__ import annotations
@@ -30,13 +31,10 @@ class BracketError(SolverError):
     """A requested mean energy lies outside the reachable open interval."""
 
 
-def as_square(a, name: str = "matrix", stacked: bool = False) -> np.ndarray:
-    """Coerce to a complex square ndarray, enforcing the dense dimension cap.
-
-    With `stacked`, `a` must be an (S, d, d) stack of square matrices.
-    """
+def as_square(a, name: str = "matrix") -> np.ndarray:
+    """Coerce to a complex (..., d, d) ndarray, enforcing the dense dimension cap."""
     arr = np.asarray(a, dtype=complex)
-    if arr.ndim != 2 + stacked or arr.shape[-1] != arr.shape[-2] or 0 in arr.shape:
+    if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2] or 0 in arr.shape:
         raise ValidationError(f"{name} must be square, got shape {arr.shape}")
     if arr.shape[-1] > MAX_DIM:
         raise ValidationError(f"{name} dimension {arr.shape[-1]} exceeds the dense cap {MAX_DIM}")
@@ -48,14 +46,12 @@ def _first_failure(values, ok) -> np.generic:
     return np.ravel(values)[~np.ravel(ok)][0]
 
 
-def check_hermitian(a, tol: float = HERMITIAN_TOL, name: str = "operator",
-                    stacked: bool = False) -> np.ndarray:
+def check_hermitian(a, tol: float = HERMITIAN_TOL, name: str = "operator") -> np.ndarray:
     """Validate finite entries and Hermiticity within `tol`; return the array.
 
-    With `stacked`, each matrix of an (S, d, d) stack is checked, and a
-    failure names the first failing matrix's deviation.
+    A failure in a stack names the first failing matrix's deviation.
     """
-    arr = as_square(a, name, stacked)
+    arr = as_square(a, name)
     if not np.isfinite(arr).all():
         raise ValidationError(f"{name} must be finite: it has a NaN or infinite entry")
     dev = np.abs(arr - arr.conj().swapaxes(-1, -2))
@@ -66,15 +62,15 @@ def check_hermitian(a, tol: float = HERMITIAN_TOL, name: str = "operator",
     return arr
 
 
-def checked_state(rho, name: str = "state", stacked: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def checked_state(rho, name: str = "state") -> tuple[np.ndarray, np.ndarray]:
     """check_density_matrix that also returns the spectrum it computed.
 
-    With `stacked`, the spectra of an (S, d, d) stack come as an (S, d) array.
+    The spectra of a (..., d, d) stack come as a (..., d) array.
     """
     # entries near the float limit overflow the Hermiticity deviation or the
     # trace to inf, which the checks reject with their usual messages
     with np.errstate(over="ignore"):
-        arr = check_hermitian(rho, STATE_HERMITIAN_TOL, name, stacked)
+        arr = check_hermitian(rho, STATE_HERMITIAN_TOL, name)
         tr = arr.trace(axis1=-2, axis2=-1)
     ok = abs(tr - 1.0) <= TRACE_TOL
     if not ok.all():
@@ -88,12 +84,12 @@ def checked_state(rho, name: str = "state", stacked: bool = False) -> tuple[np.n
     return arr, w
 
 
-def check_density_matrix(rho, name: str = "state", stacked: bool = False) -> np.ndarray:
+def check_density_matrix(rho, name: str = "state") -> np.ndarray:
     """Validate finite entries, Hermiticity, unit trace and nonnegative spectrum.
 
-    With `stacked`, every matrix of an (S, d, d) stack is validated.
+    A failure in a stack names the first failing matrix's value.
     """
-    return checked_state(rho, name, stacked)[0]
+    return checked_state(rho, name)[0]
 
 
 def hermitian_eig(op, tol: float = HERMITIAN_TOL) -> tuple[np.ndarray, np.ndarray]:
@@ -107,18 +103,18 @@ def unitary_evolution(op, t: float) -> np.ndarray:
     """exp(-i H t) for Hermitian H, via eigendecomposition."""
     w, v = hermitian_eig(op)
     phases = np.exp(-1j * w * t)
-    return (v * phases) @ v.conj().T
+    return (v * phases[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def tensor_product(a, b) -> np.ndarray:
-    """Kronecker product; entry ((i,k),(j,l)) = a_ij * b_kl."""
+    """Kronecker product, entry ((i,k),(j,l)) = a_ij * b_kl, broadcast over stack axes."""
     aa = as_square(a, "first factor")
     bb = as_square(b, "second factor")
-    if aa.shape[0] * bb.shape[0] > MAX_DIM:
-        raise ValidationError(
-            f"product dimension {aa.shape[0] * bb.shape[0]} exceeds the dense cap {MAX_DIM}"
-        )
-    return np.kron(aa, bb)
+    d = aa.shape[-1] * bb.shape[-1]
+    if d > MAX_DIM:
+        raise ValidationError(f"product dimension {d} exceeds the dense cap {MAX_DIM}")
+    out = aa[..., :, None, :, None] * bb[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (d, d))
 
 
 def partial_trace(joint, dims: tuple[int, int], keep: str = "first") -> np.ndarray:
@@ -129,13 +125,13 @@ def partial_trace(joint, dims: tuple[int, int], keep: str = "first") -> np.ndarr
     """
     d1, d2 = int(dims[0]), int(dims[1])
     arr = as_square(joint, "joint operator")
-    if arr.shape[0] != d1 * d2:
-        raise ValidationError(f"joint dimension {arr.shape[0]} != {d1}*{d2}")
-    blocks = arr.reshape(d1, d2, d1, d2)
+    if arr.shape[-1] != d1 * d2:
+        raise ValidationError(f"joint dimension {arr.shape[-1]} != {d1}*{d2}")
+    blocks = arr.reshape(arr.shape[:-2] + (d1, d2, d1, d2))
     if keep == "first":
-        return np.einsum("ikjk->ij", blocks)
+        return np.einsum("...ikjk->...ij", blocks)
     if keep == "second":
-        return np.einsum("kikj->ij", blocks)
+        return np.einsum("...kikj->...ij", blocks)
     raise ValidationError(f"keep must be 'first' or 'second', got {keep!r}")
 
 
@@ -157,23 +153,25 @@ def entropy_of_probabilities(p: np.ndarray) -> float:
 
 def von_neumann_entropy(rho) -> float:
     """S(rho) = -Tr rho log rho in nats, from the spectrum its validation computes."""
+    if np.ndim(rho) != 2:  # one state: a stack's spectra would be summed as one
+        raise ValidationError(f"state must be square, got shape {np.shape(rho)}")
     # the cutoff also zeroes the validated spectrum's negatives down to EIG_FLOOR
     return entropy_of_probabilities(checked_state(rho)[1])
 
 
-def trace_norm(a) -> float:
-    """||A||_1 = sum of singular values."""
+def trace_norm(a) -> float | np.ndarray:
+    """||A||_1 = sum of singular values; one norm per matrix of a stack."""
     arr = as_square(a, "operator")
-    return float(np.linalg.svd(arr, compute_uv=False).sum())
+    return np.linalg.svd(arr, compute_uv=False).sum(axis=-1)
 
 
-def trace_distance(a, b) -> float:
-    """D(a, b) = ||a - b||_1 / 2 for Hermitian a, b of equal dimension."""
+def trace_distance(a, b) -> float | np.ndarray:
+    """D(a, b) = ||a - b||_1 / 2 for Hermitian a, b of equal dimension, broadcast over stacks."""
     aa = as_square(a, "first state")
     bb = as_square(b, "second state")
-    if aa.shape != bb.shape:
+    if aa.shape[-1] != bb.shape[-1]:
         raise ValidationError(f"dimension mismatch: {aa.shape} vs {bb.shape}")
     diff = aa - bb
-    diff = (diff + diff.conj().T) / 2
+    diff = (diff + diff.conj().swapaxes(-1, -2)) / 2
     w = np.linalg.eigvalsh(diff)
-    return float(np.abs(w).sum() / 2)
+    return np.abs(w).sum(axis=-1) / 2

@@ -54,6 +54,8 @@ class QuantumSystem:
 
     def __post_init__(self):
         e = check_energy_levels(self.energies)
+        if np.ndim(self.rho) != 2:  # one state, not a stack of them
+            raise ValidationError(f"state must be square, got shape {np.shape(self.rho)}")
         rho, spectrum = linalg.checked_state(self.rho)
         if rho.shape[0] != e.size:
             raise ValidationError(f"state dimension {rho.shape[0]} != {e.size} energy levels")

@@ -180,6 +180,15 @@ class TestFixedPoint:
         residual = linalg.trace_distance(apply(x[None, None])[0, 0], x)
         assert result.fixed_point_residual[0].hex() == residual.hex()
 
+    def test_a_stack_of_cavity_states_is_rejected(self):
+        stack = np.array([uniform_superposition_state(3)] * 3)
+        with pytest.raises(ValidationError):
+            solve_catalyst_fixed_point(DEFAULT_CONFIG, stack)
+        with pytest.raises(ValidationError):
+            run_time_series(DEFAULT_CONFIG, stack, np.eye(2) / 2)
+        with pytest.raises(ValidationError):
+            run_time_series(DEFAULT_CONFIG, stack[0], np.array([np.eye(2) / 2] * 3))
+
     def test_fixed_point_is_catalytic_at_tau(self):
         result = solve_catalyst_fixed_point(DEFAULT_CONFIG, uniform_superposition_state(3))
         series = run_time_series(
@@ -800,6 +809,13 @@ class TestStackedSetup:
             QutritCatalystSetup(lam=0.1, beta=0.3, phi_r=frames[:1])
         with pytest.raises(ValidationError, match="qubit"):
             QutritCatalystSetup(lam=np.array([0.1]), beta=0.3, phi_r=np.eye(3)[None] / 3)
+
+    def test_a_frame_of_rank_four_is_rejected(self):
+        frame = reference_catalyst()[None, None]
+        message = r"^phi_r must be square, got shape \(1, 1, 2, 2\)$"
+        for lam in (0.1, np.array([0.1])):
+            with pytest.raises(ValidationError, match=message):
+                QutritCatalystSetup(lam=lam, beta=0.3, phi_r=frame)
 
     def test_one_frame_serves_every_weight(self):
         run = qutrit_catalyst_protocol(QutritCatalystSetup(lam=SWEEP_GRID, beta=0.0))

@@ -531,12 +531,23 @@ class TestUsageAndEntryPoint:
             ("qutrit-catalyst", "--beta"),
         ]
 
-    @pytest.mark.parametrize("number", ["-1e-05", "-2.5E+3", "-.5e1", "-3", "-0.25", "-7."])
+    @pytest.mark.parametrize("number", [
+        "-1e-05", "-2.5E+3", "-.5e1", "-3", "-0.25", "-7.",
+        "-inf", "-INF", "-infinity", "-Infinity", "-nan", "-NaN",
+    ])
     def test_negative_numbers_in_every_float_form_are_values(self, number):
         for command, option, dest in self.float_options():
             argv = [command] + (["s.json"] if command in ("asymptotic", "oracle") else [])
             args = build_parser().parse_args(argv + [option, number])
-            assert getattr(args, dest) == float(number), (command, option)
+            assert repr(getattr(args, dest)) == repr(float(number)), (command, option)
+
+    @pytest.mark.parametrize("number", ["-inf", "-Infinity", "-nan"])
+    def test_a_negative_non_finite_value_reaches_its_check(self, capsys, tmp_path, number):
+        path = write_json(tmp_path / "s.json", {"energies": [0, 1], "populations": [0.6, 0.4]})
+        error = one_failed_report(capsys, ["oracle", path, "--beta-bath", number])
+        assert error == "bath inverse temperature must be finite"
+        error = one_failed_report(capsys, ["qutrit-catalyst", "--beta", number])
+        assert error == "beta must be finite"
 
     def test_a_negative_exponent_bath_runs(self, capsys, tmp_path):
         path = write_json(tmp_path / "s.json", {"energies": [0, 1], "populations": [0.6, 0.4]})
@@ -707,6 +718,15 @@ class TestFileFaultsAreReports:
         path = tmp_path / "bad.json"
         path.write_bytes(raw)
         assert re.search(found, one_failed_report(capsys, ["single", str(path)]))
+
+    @pytest.mark.parametrize("command", [
+        ["single"], ["oracle", "--beta-bath", "0.5"], ["asymptotic", "--delta", "0.1"],
+    ])
+    def test_a_stack_of_states_is_not_a_state(self, capsys, tmp_path, command):
+        doc = {"energies": [0, 1], "rho_re": [[[0.5, 0], [0, 0.5]]] * 2}
+        path = write_json(tmp_path / "stack.json", doc)
+        error = one_failed_report(capsys, [command[0], path, *command[1:]])
+        assert error == f"{path}: state must be square, got shape (2, 2, 2)"
 
 
 def str_format_csv(header, rows):

@@ -204,14 +204,16 @@ class TestValidation:
 
 
 class TestStackedValidation:
-    """check_density_matrix(stacked=True) validates each matrix of a stack."""
+    """The checks validate each matrix of a (..., d, d) stack."""
 
-    def test_a_valid_stack_keeps_each_matrix_bits_and_spectrum(self, rng):
-        stack = np.array([random_density(rng, 3) for _ in range(5)])
-        arr, w = linalg.checked_state(stack, stacked=True)
-        assert arr.tobytes() == stack.tobytes() and w.shape == (5, 3)
-        for k, rho in enumerate(stack):
-            assert w[k].tobytes() == linalg.checked_state(rho)[1].tobytes()
+    @pytest.mark.parametrize("stack", [(5,), (2, 3)])
+    def test_a_valid_stack_keeps_each_matrix_bits_and_spectrum(self, rng, stack):
+        count = int(np.prod(stack))
+        stack = np.array([random_density(rng, 3) for _ in range(count)]).reshape(stack + (3, 3))
+        arr, w = linalg.checked_state(stack)
+        assert arr.tobytes() == stack.tobytes() and w.shape == stack.shape[:-1]
+        for k in np.ndindex(stack.shape[:-2]):
+            assert w[k].tobytes() == linalg.checked_state(stack[k])[1].tobytes()
 
     @pytest.mark.parametrize("bad,message", [
         (np.array([[0.5, 0.1], [0.3, 0.5]]), r"is not Hermitian: max deviation 2.000e-01"),
@@ -224,16 +226,99 @@ class TestStackedValidation:
         worse = 2 * bad - good  # fails the same check by more
         with pytest.raises(ValidationError, match=message) as alone:
             linalg.check_density_matrix(bad, "phi")
-        for stack in ([good, bad, worse], [bad, good]):
+        for stack in ([good, bad, worse], [bad, good], [[good, good], [bad, worse]]):
             with pytest.raises(ValidationError) as stacked:
-                linalg.check_density_matrix(np.array(stack), "phi", stacked=True)
+                linalg.check_density_matrix(np.array(stack), "phi")
             assert str(stacked.value) == str(alone.value)
 
-    @pytest.mark.parametrize("shape", [(2, 2), (3, 2, 3), (0, 2, 2), (2, 2, 2, 2)])
-    def test_a_stack_must_be_three_dimensional_and_square(self, shape):
-        with pytest.raises(ValidationError, match="must be square"):
-            linalg.check_density_matrix(np.zeros(shape), stacked=True)
+    @pytest.mark.parametrize("shape", [(2,), (3, 2, 3), (0, 2, 2), (2, 0, 0), (2, 1, 3, 3, 2)])
+    def test_a_stack_must_be_square_and_non_empty(self, shape):
+        with pytest.raises(ValidationError, match=rf"must be square, got shape \({shape[0]},"):
+            linalg.check_density_matrix(np.zeros(shape))
 
-    def test_unstacked_checks_reject_a_stack(self):
-        with pytest.raises(ValidationError, match="must be square"):
-            linalg.check_density_matrix(np.array([np.eye(2) / 2] * 3))
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 2, 2, 2)])
+    def test_a_matrix_and_a_nested_stack_are_square(self, shape):
+        ops = np.broadcast_to(np.diag([0.5, 0.5]), shape)
+        assert linalg.check_density_matrix(ops).shape == shape
+
+    def test_the_entropy_rejects_a_stack(self):
+        with pytest.raises(ValidationError, match=r"^state must be square, got shape \(3, 2, 2\)$"):
+            linalg.von_neumann_entropy(np.array([np.eye(2) / 2] * 3))
+
+
+def _random_ops(rng, shape, d):
+    return rng.normal(size=shape + (d, d)) + 1j * rng.normal(size=shape + (d, d))
+
+
+def _hermitian(a):
+    return (a + a.conj().swapaxes(-1, -2)) / 2
+
+
+FACTOR_DIMS = [(d1, d2) for d1 in (2, 3) for d2 in (2, 3)]
+
+
+class TestStackedHelpers:
+    """Row k of each stacked helper is its single-matrix call on matrix k, bit for bit."""
+
+    @pytest.mark.parametrize("d1,d2", FACTOR_DIMS)
+    def test_single_tensor_products_are_numpy_kron(self, rng, d1, d2):
+        a, b = _random_ops(rng, (), d1), _random_ops(rng, (), d2)
+        assert linalg.tensor_product(a, b).tobytes() == np.kron(a, b).tobytes()
+
+    @pytest.mark.parametrize("stacks", [(1, 1), (5, 5), (1, 5), (5, 1)])
+    @pytest.mark.parametrize("d1,d2", FACTOR_DIMS)
+    def test_tensor_product(self, rng, d1, d2, stacks):
+        a, b = _random_ops(rng, (stacks[0],), d1), _random_ops(rng, (stacks[1],), d2)
+        got = linalg.tensor_product(a, b)
+        assert got.shape == (max(stacks), d1 * d2, d1 * d2)
+        for k in range(max(stacks)):
+            want = linalg.tensor_product(a[k % stacks[0]], b[k % stacks[1]])
+            assert got[k].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("keep", ["first", "second"])
+    @pytest.mark.parametrize("stack", [1, 5])
+    @pytest.mark.parametrize("d1,d2", FACTOR_DIMS)
+    def test_partial_trace(self, rng, d1, d2, stack, keep):
+        joint = _random_ops(rng, (stack,), d1 * d2)
+        got = linalg.partial_trace(joint, (d1, d2), keep)
+        assert got.shape == (stack,) + ((d1, d1) if keep == "first" else (d2, d2))
+        for k in range(stack):
+            assert got[k].tobytes() == linalg.partial_trace(joint[k], (d1, d2), keep).tobytes()
+
+    @pytest.mark.parametrize("stacks", [(1, 1), (5, 5), (1, 5), (5, 1)])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_trace_distance(self, rng, d, stacks):
+        a = np.array([random_density(rng, d) for _ in range(stacks[0])])
+        b = np.array([random_density(rng, d) for _ in range(stacks[1])])
+        got = linalg.trace_distance(a, b)
+        assert got.shape == (max(stacks),)
+        for k in range(max(stacks)):
+            want = linalg.trace_distance(a[k % stacks[0]], b[k % stacks[1]])
+            assert isinstance(want, float) and got[k].tobytes() == np.float64(want).tobytes()
+
+    @pytest.mark.parametrize("stack", [1, 5])
+    @pytest.mark.parametrize("d", [2, 3, 4, 6, 9])
+    def test_trace_norm(self, rng, d, stack):
+        ops = _random_ops(rng, (stack,), d)
+        got = linalg.trace_norm(ops)
+        assert got.shape == (stack,)
+        for k in range(stack):
+            want = linalg.trace_norm(ops[k])
+            assert isinstance(want, float) and got[k].tobytes() == np.float64(want).tobytes()
+
+    @pytest.mark.parametrize("stack", [1, 5])
+    @pytest.mark.parametrize("d", [2, 3, 4, 6, 9])
+    def test_unitary_evolution(self, rng, d, stack):
+        h = _hermitian(_random_ops(rng, (stack,), d))
+        got = linalg.unitary_evolution(h, 1.37)
+        assert got.shape == (stack, d, d)
+        for k in range(stack):
+            assert got[k].tobytes() == linalg.unitary_evolution(h[k], 1.37).tobytes()
+
+    def test_a_nested_stack_keeps_its_leading_axes(self, rng):
+        a, b = _random_ops(rng, (2, 3), 2), _random_ops(rng, (3,), 3)
+        joint = linalg.tensor_product(a, b)
+        assert joint.shape == (2, 3, 6, 6)
+        assert linalg.partial_trace(joint, (2, 3), "second").shape == (2, 3, 3, 3)
+        assert linalg.trace_norm(joint).shape == (2, 3)
+        assert joint[1, 2].tobytes() == linalg.tensor_product(a[1, 2], b[2]).tobytes()

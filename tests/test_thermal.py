@@ -260,6 +260,13 @@ class TestQuantumSystem:
         with pytest.raises(ValidationError):
             diag_system([0.0, 1.0], [0.7, 0.7])
 
+    @pytest.mark.parametrize("stack", [(3,), (1,), (1, 1)])
+    def test_rejects_a_stack_of_states(self, stack):
+        rho = np.broadcast_to(np.eye(2) / 2, stack + (2, 2))
+        with pytest.raises(ValidationError) as error:
+            QuantumSystem(energies=[0.0, 1.0], rho=rho)
+        assert str(error.value) == f"state must be square, got shape {rho.shape}"
+
     @pytest.mark.parametrize("dim", [2, 5, 64])
     def test_entropy_reads_the_validation_spectrum(self, monkeypatch, dim):
         # pure, full-rank, and with an eigenvalue just above EIG_FLOOR
