@@ -123,7 +123,9 @@ def partial_trace(joint, dims: tuple[int, int], keep: str = "first") -> np.ndarr
     `dims` is (d_first, d_second) with the joint index ordered as
     i_first * d_second + i_second; `keep` selects the surviving factor.
     """
-    d1, d2 = int(dims[0]), int(dims[1])
+    if len(dims) != 2 or not all(isinstance(d, (int, np.integer)) and d > 0 for d in dims):
+        raise ValidationError(f"dims must be two positive integers, got {tuple(dims)}")
+    d1, d2 = dims
     arr = as_square(joint, "joint operator")
     if arr.shape[-1] != d1 * d2:
         raise ValidationError(f"joint dimension {arr.shape[-1]} != {d1}*{d2}")
@@ -135,10 +137,9 @@ def partial_trace(joint, dims: tuple[int, int], keep: str = "first") -> np.ndarr
     raise ValidationError(f"keep must be 'first' or 'second', got {keep!r}")
 
 
-def energy_equal_tol(energies: np.ndarray) -> float:
-    """Tolerance under which two energy levels count as degenerate."""
-    scale = max(1.0, float(np.abs(energies).max())) if len(energies) else 1.0
-    return 1e-12 * scale
+def energy_equal_tol(energies) -> float | np.ndarray:
+    """Tolerance under which two energy levels count as degenerate; one per ladder of a stack."""
+    return 1e-12 * np.abs(energies).max(axis=-1, initial=1.0)
 
 
 def entropy_of_probabilities(p: np.ndarray) -> float:

@@ -315,14 +315,14 @@ def _decided(e, p, value):
     Such a pair is one the closed form gives an infinite virtual
     temperature.
     """
-    can_cool = value[0] > SIGN_MARGIN
-    can_heat = value[1] < -SIGN_MARGIN
-    for s in np.flatnonzero((p == 0.0).any(axis=1)).tolist():
-        low, high, _ = temperatures._pair_table(e[s])
-        empty = p[s] == 0.0
-        occupied = p[s] > temperatures.ZERO_POPULATION
-        can_cool[s] |= bool(np.any(occupied[low] & empty[high]))
-        can_heat[s] |= bool(np.any(empty[low] & occupied[high]))
+    low, high, gap = temperatures._pair_table(e)
+    distinct = ~np.isnan(gap)
+    empty = p == 0.0
+    occupied = p > temperatures.ZERO_POPULATION
+    raises = distinct & occupied[:, low] & empty[:, high]
+    lowers = distinct & empty[:, low] & occupied[:, high]
+    can_cool = (value[0] > SIGN_MARGIN) | raises.any(axis=1)
+    can_heat = (value[1] < -SIGN_MARGIN) | lowers.any(axis=1)
     return can_cool, can_heat
 
 
@@ -349,22 +349,24 @@ def heat_sign_oracle(system: QuantumSystem, beta_bath: float) -> HeatVerdict:
     return HeatVerdict(can_cool=bool(can_cool[0]), can_heat=bool(can_heat[0]), gain=gain, loss=loss)
 
 
-def predicted_verdicts(
-    pair: temperatures.EffectiveTempPair, beta_bath: float
-) -> tuple[bool, bool]:
+def predicted_verdicts(pair: temperatures.EffectiveTempPair, beta_bath):
     """Closed-form (can_cool, can_heat) at a bath of inverse temperature beta_bath.
 
     Cooling needs a bath strictly hotter than beta_c, heating one strictly
     colder than beta_h.  A bath within SIGN_MARGIN * max(1, |beta_bath|) of
     beta_c or beta_h is a tie and predicts no flow, as the verdicts'
     SIGN_MARGIN does for an optimum that vanishes up to rounding.  An
-    infinite beta_c or beta_h, from an empty level, is never a tie.
+    infinite beta_c or beta_h, from an empty level, is never a tie.  The
+    bath and the pair's fields may be scalars, giving two numpy bools, or
+    arrays of one shape, giving two bool arrays.
     """
-    tie = SIGN_MARGIN * max(1.0, abs(beta_bath))
-    return (
-        temperatures.hotter_than(beta_bath + tie, pair.beta_c),
-        temperatures.hotter_than(pair.beta_h, beta_bath - tie),
-    )
+    tie = SIGN_MARGIN * np.maximum(1.0, np.abs(beta_bath))
+    # an infinite bath less its infinite tie is NaN, which predicts no flow
+    with np.errstate(invalid="ignore"):
+        return (
+            temperatures.hotter_than(beta_bath + tie, pair.beta_c),
+            temperatures.hotter_than(pair.beta_h, beta_bath - tie),
+        )
 
 
 def _logistic(x: float) -> float:
@@ -464,7 +466,8 @@ def equivalence_trials(
     The verdicts are those of `heat_sign_oracle`, bit for bit, but decided
     in stacks: systems are drawn in chunks of about TRIAL_CHUNK_BYTES of
     subset arrays, and each dimension of a chunk is one
-    `thermomajorization_extremes` call over all its baths.
+    `thermomajorization_extremes` call over all its baths, predicted by one
+    `extremal_pairs` call over its ladders.
     """
     rng = np.random.default_rng(seed)
     d_max = max(dims)
@@ -480,26 +483,22 @@ def equivalence_trials(
             # full rank, with well-separated ascending energy levels
             energies = np.sort(rng.uniform(0.0, 2.0, d)) + 0.05 * np.arange(d)
             populations = rng.dirichlet(np.ones(d))
-            baths = [float(rng.uniform(-3.0, 3.0)) for _ in range(baths_per_system)]
-            drawn.append((energies, populations, baths))
+            drawn.append((energies, populations, rng.uniform(-3.0, 3.0, baths_per_system)))
         for d in dict.fromkeys(dims):
-            group = [draw for draw in drawn if draw[0].size == d and draw[2]]
-            if not group:
+            group = [draw for draw in drawn if draw[0].size == d]
+            if not group or not baths_per_system:
                 continue
             if d > ORACLE_DIM_CAP:
                 raise ValidationError(f"oracle dimension cap is {ORACLE_DIM_CAP}, got {d}")
-            e = np.repeat([energies for energies, _, _ in group], baths_per_system, axis=0)
-            p = np.repeat([populations for _, populations, _ in group], baths_per_system, axis=0)
-            beta = np.array([b for _, _, baths in group for b in baths])
+            ladders, rows, baths = (np.array(column) for column in zip(*group))
+            e, p = ladders.repeat(baths_per_system, axis=0), rows.repeat(baths_per_system, axis=0)
+            beta = baths.ravel()
             value, _, certificate = thermomajorization_extremes(e, p, beta)
             residual = max(residual, float(certificate.max()))
             can_cool, can_heat = _decided(e, p, value)
-            verdicts = iter(zip(can_cool.tolist(), can_heat.tolist()))
-            for energies, populations, baths in group:
-                pair = temperatures.extremal_pair(energies, populations)
-                for beta_bath in baths:
-                    if next(verdicts) != predicted_verdicts(pair, beta_bath):
-                        disagreements += 1
+            pair = temperatures.extremal_pairs(ladders, rows).repeat(baths_per_system, axis=0)
+            cool, heat = predicted_verdicts(temperatures.EffectiveTempPair(*pair.T), beta)
+            disagreements += int(np.count_nonzero((can_cool != cool) | (can_heat != heat)))
             cases += beta.size
     return EquivalenceReport(
         cases=cases, disagreements=disagreements, max_polytope_residual=residual

@@ -103,22 +103,23 @@ def _upper_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pair_table(e: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(low, high, gap) of the level pairs with distinct energies, row-major.
+    """(low, high, gap) of the level pairs i < j of an ascending (..., d) ladder, row-major.
 
-    The one enumeration of level pairs: a pair counts when its gap exceeds
-    `linalg.energy_equal_tol`, and `e` must be ascending.
+    The one enumeration of level pairs: `gap` is (..., pairs), NaN where the
+    pair is degenerate, its gap at or below `linalg.energy_equal_tol`.
     """
-    low, high = _upper_pairs(e.size)
-    gap = e[high] - e[low]
-    distinct = gap > linalg.energy_equal_tol(e)
-    return low[distinct], high[distinct], gap[distinct]
+    low, high = _upper_pairs(e.shape[-1])
+    gap = e[..., high] - e[..., low]
+    distinct = gap > linalg.energy_equal_tol(e)[..., None]
+    return low, high, np.where(distinct, gap, np.nan)
 
 
 def _pair_betas(p: np.ndarray, low: np.ndarray, high: np.ndarray, gap: np.ndarray) -> np.ndarray:
     """log(p_i / p_j) / (e_j - e_i) of the pairs (low, high) along the last axis of p.
 
     The one evaluation of the virtual temperatures.  An empty upper (lower)
-    level gives +inf (-inf); two empty levels give NaN.
+    level gives +inf (-inf); two empty levels, or a degenerate pair's NaN
+    gap, give NaN.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.log(p[..., low] / p[..., high]) / gap
@@ -140,36 +141,37 @@ def virtual_spectrum(system: QuantumSystem) -> VirtualTempSpectrum:
 
 
 # byte budget of one chunk of rows in extremal_pairs, which holds at most
-# three float64 (rows, pairs) arrays at once: the two gathered population
-# columns and their quotient
+# three float64 (rows, pairs) arrays at once over every i < j pair,
+# degenerate ones included: the two gathered population columns and their
+# quotient
 PAIR_CHUNK_BYTES = 1 << 19
 
 
 def extremal_pairs(energies: np.ndarray, populations: np.ndarray) -> np.ndarray:
     """(beta_c, beta_h) of every row of an (S, d) stack of populations.
 
-    Returns an (S, 2) array equal bit for bit to the max and min of the
-    `virtual_spectrum` entries of each row: both take their entries from
-    `_pair_betas`, and fmax/fmin skip the NaN of two empty levels as the
-    spectrum omits that pair.  Rows are processed in chunks of about
-    PAIR_CHUNK_BYTES.
+    `energies` is one (d,) ladder shared by every row or an (S, d) stack of
+    ladders, one per row.  Returns an (S, 2) array equal bit for bit to the
+    max and min of the `virtual_spectrum` entries of each row: both take
+    their entries from `_pair_betas`, and fmax/fmin skip the NaN of a
+    degenerate pair or of two empty levels as the spectrum omits those
+    pairs.  Rows are processed in chunks of about PAIR_CHUNK_BYTES.
 
     Unchecked: `energies` must be ascending, each row a valid state's diagonal.
     """
     e = np.asarray(energies, dtype=float)
     p = _clean_populations(np.asarray(populations, dtype=float))
     low, high, gap = _pair_table(e)
-    if gap.size == 0:
-        raise ValidationError(
-            "effective temperatures are undefined: all energy levels are degenerate"
-        )
+    # a shared ladder's gaps become a stride-0 view, not an (S, pairs) array
+    gap = np.broadcast_to(gap, (p.shape[0], low.size))
     out = np.empty((p.shape[0], 2))
-    per_chunk = max(1, PAIR_CHUNK_BYTES // (3 * 8 * gap.size))
+    per_chunk = max(1, PAIR_CHUNK_BYTES // (3 * 8 * max(1, low.size)))
     for start in range(0, p.shape[0], per_chunk):
         stop = start + per_chunk
-        beta = _pair_betas(p[start:stop], low, high, gap)
-        out[start:stop, 0] = np.fmax.reduce(beta, axis=1)
-        out[start:stop, 1] = np.fmin.reduce(beta, axis=1)
+        beta = _pair_betas(p[start:stop], low, high, gap[start:stop])
+        out[start:stop, 0] = np.fmax.reduce(beta, axis=1, initial=np.nan)
+        out[start:stop, 1] = np.fmin.reduce(beta, axis=1, initial=np.nan)
+    # a row without a pair of distinct energies, d = 1 included, is all NaN
     if np.isnan(out).any():
         raise ValidationError(
             "effective temperatures are undefined: all energy levels are degenerate"
@@ -177,18 +179,10 @@ def extremal_pairs(energies: np.ndarray, populations: np.ndarray) -> np.ndarray:
     return out
 
 
-def extremal_pair(energies: np.ndarray, populations: np.ndarray) -> EffectiveTempPair:
-    """Extremal inverse virtual temperatures (beta_c = max, beta_h = min).
-
-    The one-row case of `extremal_pairs`; unchecked in the same way.
-    """
-    beta_c, beta_h = extremal_pairs(energies, np.asarray(populations)[None, :])[0]
-    return EffectiveTempPair(beta_c=float(beta_c), beta_h=float(beta_h))
-
-
 def single_copy_effective(system: QuantumSystem) -> EffectiveTempPair:
-    """Extremal inverse virtual temperatures of a validated state."""
-    return extremal_pair(system.energies, system.populations)
+    """Extremal inverse virtual temperatures (beta_c = max, beta_h = min) of a validated state."""
+    beta_c, beta_h = extremal_pairs(system.energies, system.populations[None, :])[0]
+    return EffectiveTempPair(beta_c=float(beta_c), beta_h=float(beta_h))
 
 
 def _multiset_rows(system: QuantumSystem, copies: int):
@@ -347,11 +341,12 @@ def expansion_effective(request: AsymptoticRequest) -> ExpansionPair:
     )
 
 
-def hotter_than(beta_1: float, beta_2: float) -> bool:
-    """True when the first inverse temperature is strictly hotter.
+def hotter_than(beta_1, beta_2):
+    """True where the first inverse temperature is strictly hotter.
 
     Hotness is strictly decreasing in beta across the whole extended real
     line: every negative beta is hotter than every positive one, and
-    beta = -inf (+inf) is the hottest (coldest) point.
+    beta = -inf (+inf) is the hottest (coldest) point.  Scalars give a
+    numpy bool, arrays a bool array, compared elementwise.
     """
-    return float(beta_1) < float(beta_2)
+    return np.less(beta_1, beta_2)

@@ -618,9 +618,9 @@ def per_lambda_run(lam: float, beta: float) -> PerLambdaRun:
     joint = v @ linalg.tensor_product(rho, frame) @ v.conj().T
     sigma_a = linalg.partial_trace(joint, (3, 2), keep="first")
     sigma_r = linalg.partial_trace(joint, (3, 2), keep="second")
-    pair = temperatures.extremal_pair(QUTRIT_ENERGIES, np.diag(sigma_a).real)
+    beta_c, beta_h = temperatures.extremal_pairs(QUTRIT_ENERGIES, np.diag(sigma_a).real[None])[0]
     correlation = linalg.trace_norm(joint - linalg.tensor_product(sigma_a, sigma_r))
-    return PerLambdaRun(frame, sigma_a, sigma_r, pair.beta_c, pair.beta_h, correlation,
+    return PerLambdaRun(frame, sigma_a, sigma_r, float(beta_c), float(beta_h), correlation,
                         float(np.abs(sigma_r - frame).max()))
 
 

@@ -102,9 +102,14 @@ class TestTensorAndPartialTrace:
         reduced = linalg.partial_trace(joint, (2, 3), "second")
         assert_allclose(np.trace(reduced), 1.0, atol=1e-12)
 
-    def test_dimension_mismatch(self, rng):
-        with pytest.raises(ValidationError):
-            linalg.partial_trace(random_density(rng, 6), (2, 2), "first")
+    @pytest.mark.parametrize("d,dims,match", [
+        (6, (2, 2), "joint dimension 6 != 2\\*2"),
+        (4, (2.7, 2), "positive integers, got \\(2.7, 2\\)"),  # once read as (2, 2)
+        (4, (-2, -2), "positive integers"),  # once numpy's raw reshape error
+    ])
+    def test_dimension_mismatch(self, d, dims, match):
+        with pytest.raises(ValidationError, match=match):
+            linalg.partial_trace(np.eye(d) / d, dims, "first")
 
     @pytest.mark.parametrize("d1,d2", [(2, 2), (2, 3), (3, 4), (4, 2)])
     def test_roundtrip_identity(self, rng, d1, d2):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import diag_system, random_diagonal_system, random_energies
-from efftemp import oracle
+from efftemp import linalg, oracle, temperatures
 from efftemp.linalg import SolverError, ValidationError
 from efftemp.oracle import (
     GibbsStochasticLP,
@@ -17,7 +17,7 @@ from efftemp.oracle import (
     simulated_protocol_heat,
     thermomajorization_extremes,
 )
-from efftemp.temperatures import single_copy_effective
+from efftemp.temperatures import EffectiveTempPair, single_copy_effective
 from efftemp.thermal import gibbs_by_beta, gibbs_populations
 
 ROTATED_QUTRIT_DIAG = np.array([4 + np.sqrt(2), 4 - 2 * np.sqrt(2), 4 + np.sqrt(2)]) / 12
@@ -250,6 +250,21 @@ def looped_extremes(populations, energies, beta_bath):
     return max(changes), min(changes), vertices
 
 
+def looped_decided(e, p, value):
+    """`oracle._decided` as a loop over the rows with an exactly empty level
+    and their pairs of distinct energies, as it ran before it was stacked."""
+    can_cool = value[0] > oracle.SIGN_MARGIN
+    can_heat = value[1] < -oracle.SIGN_MARGIN
+    for s in np.flatnonzero((p == 0.0).any(axis=1)).tolist():
+        tol = linalg.energy_equal_tol(e[s])
+        for i, j in itertools.combinations(range(e.shape[1]), 2):
+            if e[s, j] - e[s, i] > tol:
+                occupied_i, occupied_j = p[s, [i, j]] > temperatures.ZERO_POPULATION
+                can_cool[s] |= occupied_i and p[s, j] == 0.0
+                can_heat[s] |= p[s, i] == 0.0 and occupied_j
+    return can_cool, can_heat
+
+
 def oracle_cases(dim, count, seed, beta_span=5.0):
     """(energies, populations, beta_bath) with |beta_bath| * span <= beta_span,
     cycling through generic, degenerate, empty-level, beta = 0 and Gibbs cases."""
@@ -373,6 +388,23 @@ class TestThermomajorizationExtremes:
         degenerate = heat_sign_oracle(diag_system([0.0, 1.0, 1.0], [0.0, 1.0, 0.0]), 30.0)
         assert (degenerate.can_cool, degenerate.can_heat) == (False, True)
 
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
+    def test_the_empty_level_rule_is_the_per_row_loop(self, dim):
+        # a ladder per row, every other one rounded to degenerate pairs, with
+        # exactly empty levels, populations around ZERO_POPULATION and optima
+        # on either side of SIGN_MARGIN
+        rng = np.random.default_rng(6800 + dim)
+        e = np.sort(rng.uniform(0.0, 2.0, (400, dim)), axis=1)
+        e[::2] = np.round(e[::2] * 2.0) / 2.0
+        p = rng.dirichlet(np.ones(dim), size=400)
+        p[rng.random(p.shape) < 0.3] = 0.0
+        tiny = rng.random(p.shape) < 0.1
+        p[tiny] = rng.choice([1e-300, 1.0, 2.0], tiny.sum()) * temperatures.ZERO_POPULATION
+        value = rng.choice([-2.0, -0.5, 0.5, 2.0], (2, 400)) * oracle.SIGN_MARGIN
+        got = oracle._decided(e, p, value)
+        want = looped_decided(e, p, value)
+        assert [a.tolist() for a in got] == [a.tolist() for a in want]
+
     def test_cold_and_hot_baths_agree_with_the_closed_form(self):
         # random states, and the same states with some levels emptied, whose
         # beta_c or beta_h is then infinite
@@ -477,6 +509,26 @@ class TestHeatSignOracle:
         assert oracle.predicted_verdicts(pair, math.log(4) + 1e-6) == (False, True)
         empty = single_copy_effective(diag_system([0.0, 1.0, 2.0], [0.0, 1.0, 0.0]))
         assert oracle.predicted_verdicts(empty, 1e300) == (True, True)
+
+    def test_array_prediction_is_the_scalar_ones(self):
+        # finite and infinite pairs against baths at, inside and outside the
+        # tie around beta_c and beta_h, far from both, and infinite
+        rng = np.random.default_rng(6900)
+        states = [random_diagonal_system(rng, 2 + k % 4) for k in range(30)]
+        states += [diag_system([0.0, 1.0, 2.0], p) for p in ([0.5, 0.5, 0.0], [0.0, 0.5, 0.5])]
+        rows = []
+        for pair in map(single_copy_effective, states):
+            for centre in (pair.beta_c, pair.beta_h, 0.0, 1e308, -1e308):
+                centre = centre if math.isfinite(centre) else 30.0
+                scale = max(1.0, abs(centre))
+                ties = [centre + t * scale for t in (0.0, 5e-10, -5e-10, 2e-9, -2e-9)]
+                for beta_bath in (*ties, centre + rng.uniform(-3.0, 3.0), math.inf, -math.inf):
+                    rows.append((pair.beta_c, pair.beta_h, beta_bath))
+        beta_c, beta_h, beta = np.array(rows).T
+        cool, heat = oracle.predicted_verdicts(EffectiveTempPair(beta_c, beta_h), beta)
+        want = [oracle.predicted_verdicts(EffectiveTempPair(c, h), b) for c, h, b in rows]
+        assert list(zip(cool.tolist(), heat.tolist())) == [(bool(c), bool(h)) for c, h in want]
+        assert set(cool.tolist()) == set(heat.tolist()) == {False, True}
 
     def test_dimension_cap(self):
         system = diag_system(np.arange(7.0), np.ones(7) / 7)

@@ -166,6 +166,8 @@ def population_row(rng, energies, kind):
     if kind == "empty":
         p[rng.integers(0, d, max(1, d // 3))] = 0.0
         p = p / p.sum()
+    if kind == "tiny":  # at or below ZERO_POPULATION: empty to the closed form
+        p[rng.integers(0, d, max(1, d // 3))] = rng.choice([temperatures.ZERO_POPULATION, 1e-300])
     return p
 
 
@@ -178,23 +180,27 @@ def ladder_energies(rng, dim, ladder):
     return energies
 
 
-KINDS = ("generic", "gibbs", "near_uniform", "empty")
+KINDS = ("generic", "gibbs", "near_uniform", "empty", "tiny")
 
 
 class TestExtremalPairs:
+    @pytest.mark.parametrize("per_row", [False, True], ids=["one-ladder", "row-ladders"])
     @pytest.mark.parametrize("ladder", ["distinct", "repeated", "wide"])
     @pytest.mark.parametrize("dim", [2, 3, 5, 8, 16, 32, 64])
-    def test_matches_scalar_spectrum_bit_for_bit(self, rng, monkeypatch, dim, ladder):
+    def test_matches_scalar_spectrum_bit_for_bit(self, rng, monkeypatch, dim, ladder, per_row):
         # a 4 kB budget holds at most 102 rows (one row from d = 16 on), so the
         # stack takes several chunks and ends in a partial one
         monkeypatch.setattr(temperatures, "PAIR_CHUNK_BYTES", 4096)
         size = 250 if dim < 16 else 41
-        energies = ladder_energies(rng, dim, ladder)
-        stack = np.array([population_row(rng, energies, KINDS[k % 4]) for k in range(size)])
-        got = extremal_pairs(energies, stack)
+        count = size if per_row else 1
+        ladders = np.array([ladder_energies(rng, dim, ladder) for _ in range(count)])
+        rows = np.broadcast_to(ladders, (size, dim))
+        stack = np.array([population_row(rng, e, KINDS[k % len(KINDS)])
+                          for k, e in enumerate(rows)])
+        got = extremal_pairs(ladders if per_row else ladders[0], stack)
         assert got.shape == (size, 2)
-        for row, pair in zip(stack, got):
-            assert tuple(pair) == spectrum_extremes(energies, row)
+        for e, row, pair in zip(rows, stack, got):
+            assert tuple(pair) == spectrum_extremes(e, row)
 
     # Gibbs rows on three levels, where each row's three entries lie within
     # two ulps of one another and numpy's log differs from math.log by one
@@ -225,13 +231,21 @@ class TestExtremalPairs:
         assert tuple(got[-1]) == spectrum_extremes(energies, stack[-1])
 
     def test_one_row_case(self):
-        p = np.array(ROTATED_QUTRIT_DIAG)
-        pair = temperatures.extremal_pair(np.array([0.0, 1.0, 2.0]), p)
-        assert (pair.beta_c, pair.beta_h) == spectrum_extremes(np.array([0.0, 1.0, 2.0]), p)
+        pair = single_copy_effective(diag_system([0.0, 1.0, 2.0], ROTATED_QUTRIT_DIAG))
+        assert (pair.beta_c, pair.beta_h) == spectrum_extremes([0.0, 1.0, 2.0], ROTATED_QUTRIT_DIAG)
 
-    def test_degenerate_ladder_rejected(self):
-        with pytest.raises(ValidationError, match="degenerate"):
-            extremal_pairs(np.ones(3), np.full((4, 3), 1 / 3))
+    @pytest.mark.parametrize(
+        "energies,rows",
+        [(np.ones(3), 4), (np.zeros(1), 2), (np.array([[0.0, 1.0, 2.0], [1.0, 1.0, 1.0]]), 2),
+         (np.zeros((3, 1)), 3)],
+        ids=["degenerate", "one-level", "a-degenerate-row", "one-level-rows"],
+    )
+    def test_degenerate_ladder_rejected(self, energies, rows):
+        d = energies.shape[-1]
+        with pytest.raises(ValidationError) as raised:
+            extremal_pairs(energies, np.full((rows, d), 1 / d))
+        assert str(raised.value) == (
+            "effective temperatures are undefined: all energy levels are degenerate")
 
 
 def hex_entries(entries):
@@ -642,6 +656,10 @@ class TestHotterThan:
         for i, a in enumerate(betas):
             for b in betas[i + 1 :]:
                 assert hotter_than(a, b) and not hotter_than(b, a)
+        # arrays compare elementwise, as the scalar calls do
+        first, second = np.array(list(product(betas, repeat=2))).T
+        want = [bool(hotter_than(a, b)) for a, b in zip(first.tolist(), second.tolist())]
+        assert hotter_than(first, second).tolist() == want
 
 
 class TestInvariants:
