@@ -5,10 +5,11 @@ Input files are JSON with either of two state forms:
     {"energies": [...], "populations": [...]}
     {"energies": [...], "rho_re": [[...]], "rho_im": [[...]]}
 
-(`rho_im` may be omitted for real states).  All reports are printed as JSON
-with deterministic key order; non-finite floats are emitted as the strings
-"inf"/"-inf"/"nan" so the output stays strict JSON.  Exit codes: 0 success,
-1 input/usage error, 2 numerical/solver failure.
+(`rho_im` may be omitted for real states).  Every report is printed as JSON in
+the layout of json.dumps(..., sort_keys=True, indent=2): sorted keys, a 2-space
+indent, floats as their repr, strings with ASCII escapes, and non-finite floats
+as the strings "inf"/"-inf"/"nan" so the output stays strict JSON.  Exit codes:
+0 success, 1 input/usage error, 2 numerical/solver failure.
 """
 
 from __future__ import annotations
@@ -95,30 +96,49 @@ def load_system_file(path: str) -> tuple[QuantumSystem, str]:
     return system, _digest(raw)
 
 
-def _jsonable(value):
-    """Make a value JSON-serializable with non-finite floats as strings."""
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (np.floating, float)):
-        v = float(value)
-        if math.isnan(v):
-            return "nan"
-        if math.isinf(v):
-            return "inf" if v > 0 else "-inf"
-        return v
-    if isinstance(value, (np.integer, int)):
-        return int(value)
-    if isinstance(value, np.ndarray):
-        return _jsonable(value.tolist())
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
+_NUMBERS = {int, float}
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _encode(value, nl: str) -> str:
+    """`value` as json.dumps(..., sort_keys=True, indent=2) writes it on a line
+    that starts at `nl`, with numpy values as Python ones, dict keys as str(key)
+    and non-finite floats as the strings "inf", "-inf" and "nan".  Each row of
+    finite Python ints and floats in a list, such as a table, is one join."""
+    inner = nl + "  "
     if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    return value
+        items = sorted({str(k): v for k, v in value.items()}.items())
+        parts, brackets = [_quote(k) + ": " + _encode(v, inner) for k, v in items], "{}"
+    elif isinstance(value, (list, tuple)):
+        parts, brackets, sep = [], "[]", "," + inner + "  "
+        for v in value:
+            numbers = isinstance(v, (list, tuple)) and set(map(type, v)) <= _NUMBERS
+            row = sep.join(map(repr, v)) if numbers and v else "n"
+            # "n" also marks a value that is not a row: no finite number's repr
+            # holds one, so a row with an inf or a nan is written token by token
+            parts.append(_encode(v, inner) if "n" in row else "[" + sep[1:] + row + inner + "]")
+    elif isinstance(value, str):
+        return _quote(value)
+    elif isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    elif isinstance(value, (float, np.floating)):
+        v = float(value)
+        if math.isfinite(v):
+            return float.__repr__(v)
+        return '"nan"' if math.isnan(v) else '"inf"' if v > 0 else '"-inf"'
+    elif isinstance(value, (int, np.integer)):
+        return int.__repr__(int(value))
+    elif isinstance(value, np.ndarray):
+        return _encode(value.tolist(), nl)
+    elif value is None:
+        return "null"
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    return brackets[0] + inner + ("," + inner).join(parts) + nl + brackets[1] if parts else brackets
 
 
 def _emit(report: dict) -> None:
-    print(json.dumps(_jsonable(report), sort_keys=True, indent=2))
+    sys.stdout.write(_encode(report, "\n") + "\n")
     sys.stdout.flush()  # a closed pipe must fail here, inside main's handler
 
 

@@ -629,6 +629,27 @@ class TestUsageAndEntryPoint:
         assert proc.returncode == status
         assert proc.stderr == b""
 
+    def test_stdout_closed_mid_report_exits_with_report_status(self, tmp_path):
+        # a d = 64 report is about 137 KB, more than a pipe holds, so the
+        # reader's close lands while the report is being written
+        rng = np.random.default_rng(64)
+        rho = random_density(rng, 64)
+        path = write_json(tmp_path / "d64.json", {
+            "energies": np.linspace(0.0, 3.0, 64).tolist(),
+            "rho_re": rho.real.tolist(), "rho_im": rho.imag.tolist()})
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "efftemp", "single", path],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        try:
+            assert proc.stdout.read(5) == b"{\n  \""
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == 0  # the report's status
+            assert proc.stderr.read() == b""
+        finally:
+            proc.kill()
+            proc.stderr.close()
+
 
 def _reject_constant(name):
     raise ValueError(f"non-strict JSON constant {name}")
