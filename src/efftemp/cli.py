@@ -110,13 +110,14 @@ def _encode(value, nl: str) -> str:
         items = sorted({str(k): v for k, v in value.items()}.items())
         parts, brackets = [_quote(k) + ": " + _encode(v, inner) for k, v in items], "{}"
     elif isinstance(value, (list, tuple)):
-        parts, brackets, sep = [], "[]", "," + inner + "  "
+        parts, brackets, deeper = [], "[]", inner + "  "
+        sep = "," + deeper
         for v in value:
             numbers = isinstance(v, (list, tuple)) and set(map(type, v)) <= _NUMBERS
             row = sep.join(map(repr, v)) if numbers and v else "n"
             # "n" also marks a value that is not a row: no finite number's repr
             # holds one, so a row with an inf or a nan is written token by token
-            parts.append(_encode(v, inner) if "n" in row else "[" + sep[1:] + row + inner + "]")
+            parts.append(_encode(v, inner) if "n" in row else "[" + deeper + row + inner + "]")
     elif isinstance(value, str):
         return _quote(value)
     elif isinstance(value, (bool, np.bool_)):

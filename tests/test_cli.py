@@ -46,6 +46,11 @@ def mixed_qubit_file(tmp_path):
     return write_json(tmp_path / "half.json", {"energies": [0, 1], "populations": [0.5, 0.5]})
 
 
+# a child whose stdout is buffered, as it is by default for a pipe: with
+# PYTHONUNBUFFERED set, a missing flush in cli._emit would go unseen
+BUFFERED_ENV = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -623,6 +628,7 @@ class TestUsageAndEntryPoint:
                 stdout=write_end,
                 stderr=subprocess.PIPE,
                 timeout=60,
+                env=BUFFERED_ENV,
             )
         finally:
             os.close(write_end)
@@ -639,7 +645,7 @@ class TestUsageAndEntryPoint:
             "rho_re": rho.real.tolist(), "rho_im": rho.imag.tolist()})
         proc = subprocess.Popen(
             [sys.executable, "-m", "efftemp", "single", path],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=BUFFERED_ENV,
         )
         try:
             assert proc.stdout.read(5) == b"{\n  \""
