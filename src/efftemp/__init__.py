@@ -9,14 +9,10 @@ from .linalg import (
     tensor_product,
     trace_distance,
     trace_norm,
-    unitary_evolution,
-    von_neumann_entropy,
 )
 from .thermal import (
     GibbsSolveResult,
     QuantumSystem,
-    beta_free_energy,
-    free_energy,
     gibbs_by_beta,
     gibbs_by_energy,
     t_star,
@@ -27,7 +23,6 @@ from .temperatures import (
     EffectiveTempPair,
     ExpansionPair,
     VirtualTempSpectrum,
-    asymptotic_branch,
     asymptotic_effective,
     expansion_effective,
     hotter_than,
@@ -37,12 +32,10 @@ from .temperatures import (
 )
 from .simplex import InfeasibleProblem, LPResult, UnboundedProblem, solve_lp
 from .oracle import (
-    CoolingProtocol,
     GibbsStochasticLP,
     HeatOptimum,
     HeatVerdict,
     PolytopeOptimum,
-    build_cooling_protocol,
     heat_sign_oracle,
     max_energy_gain,
 )

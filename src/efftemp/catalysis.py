@@ -161,14 +161,6 @@ def jc_hamiltonian(config: JCConfig) -> np.ndarray:
     return h
 
 
-def excitation_number(config: JCConfig) -> np.ndarray:
-    """Joint excitation operator a^dag a + |e><e|; commutes with the Hamiltonian."""
-    n = config.fock_levels
-    return np.kron(np.diag(np.arange(n, dtype=float)), np.eye(2)) + np.kron(
-        np.eye(n), np.diag([0.0, 1.0])
-    ).astype(complex)
-
-
 # ---------------------------------------------------------------------------
 # channel fixed points
 
@@ -266,7 +258,7 @@ def solve_catalyst_fixed_point(config: JCConfig, cavity_state) -> CatalysisResul
     if rho_a.shape != (config.fock_levels,) * 2:
         raise ValidationError("cavity state dimension != fock_levels")
     w, v = config.eigensystem
-    u = (v * np.exp(-1j * w * config.tau)) @ v.conj().T  # linalg.unitary_evolution's arithmetic
+    u = (v * np.exp(-1j * w * config.tau)) @ v.conj().T  # exp(-i H tau)
     solved = channel_fixed_point(_frame_channel(u, rho_a[None], (config.fock_levels, 2)), 2)
     return CatalysisResult(catalyst_state=solved.catalyst_state[0],
                            fixed_point_residual=float(solved.fixed_point_residual[0]))

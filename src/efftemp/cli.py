@@ -51,7 +51,7 @@ def _has_bool(value) -> bool:
 def _floats(path: str, field: str, value) -> np.ndarray:
     try:
         array = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # an int past the float range overflows
         raise ValidationError(f"{path}: {field} must be numeric: {exc}")
     # numpy reads true/false as 1/0, which would let a boolean pass as a
     # number; a converted value nests at most 64 deep, so this check is shallow
@@ -242,7 +242,7 @@ def cmd_oracle(args) -> tuple[dict, list, str]:
     results = {
         "beta_bath": args.beta_bath,
         "max_energy_gain": verdict.gain.value,
-        "max_energy_loss": -verdict.loss.value,
+        "max_energy_loss": 0.0 - verdict.loss.value,  # a loss of exactly 0 is 0.0, not -0.0
         "can_cool": verdict.can_cool,
         "can_heat": verdict.can_heat,
         "predicted_cool": predicted_cool,

@@ -2,9 +2,9 @@
 
 Operators and states are plain numpy arrays.  A density matrix is Hermitian
 with unit trace and nonnegative spectrum (within tolerance); a Hamiltonian is
-Hermitian with energies in units where hbar = k_B = 1.  Every helper but
-von_neumann_entropy also maps a (..., d, d) stack, matrix by matrix.  All are
-pure functions on immutable inputs, so the module is thread-safe.
+Hermitian with energies in units where hbar = k_B = 1.  Every matrix helper
+also maps a (..., d, d) stack, matrix by matrix.  All are pure functions on
+immutable inputs, so the module is thread-safe.
 """
 
 from __future__ import annotations
@@ -99,13 +99,6 @@ def hermitian_eig(op, tol: float = HERMITIAN_TOL) -> tuple[np.ndarray, np.ndarra
     return w, v
 
 
-def unitary_evolution(op, t: float) -> np.ndarray:
-    """exp(-i H t) for Hermitian H, via eigendecomposition."""
-    w, v = hermitian_eig(op)
-    phases = np.exp(-1j * w * t)
-    return (v * phases[..., None, :]) @ v.conj().swapaxes(-1, -2)
-
-
 def tensor_product(a, b) -> np.ndarray:
     """Kronecker product, entry ((i,k),(j,l)) = a_ij * b_kl, broadcast over stack axes."""
     aa = as_square(a, "first factor")
@@ -150,14 +143,6 @@ def entropy_of_probabilities(p: np.ndarray) -> float:
     if nz.size == 0:
         return 0.0
     return float(max(0.0, -(nz * np.log(nz)).sum()))
-
-
-def von_neumann_entropy(rho) -> float:
-    """S(rho) = -Tr rho log rho in nats, from the spectrum its validation computes."""
-    if np.ndim(rho) != 2:  # one state: a stack's spectra would be summed as one
-        raise ValidationError(f"state must be square, got shape {np.shape(rho)}")
-    # the cutoff also zeroes the validated spectrum's negatives down to EIG_FLOOR
-    return entropy_of_probabilities(checked_state(rho)[1])
 
 
 def trace_norm(a) -> float | np.ndarray:

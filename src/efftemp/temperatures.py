@@ -49,12 +49,6 @@ class VirtualTempSpectrum:
 
     entries: tuple[tuple[int, int, float], ...]
 
-    def betas(self) -> np.ndarray:
-        return np.array([b for _, _, b in self.entries], dtype=float)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
 
 def _has_nan(beta) -> bool:
     # a float, the usual case, skips numpy's per-call overhead (about 2 us)
@@ -284,34 +278,25 @@ class ExpansionPair(EffectiveTempPair):
     matched: GibbsSolveResult
 
 
-def _branch_solve(request: AsymptoticRequest, branch: str, s_rho: float):
-    """(beta, Gibbs solve) of one asymptotic branch, given S(rho)."""
-    sign = {"cold": 1.0, "hot": -1.0}.get(branch)
-    if sign is None:
-        raise ValidationError(f"branch must be 'cold' or 'hot', got {branch!r}")
+def _branch_solve(request: AsymptoticRequest, sign: float, s_rho: float):
+    """(beta, Gibbs solve) of one asymptotic branch, given S(rho).
+
+    sign = +1 is the cold branch, [S(gibbs(E + delta)) - S(rho)] / delta, and
+    sign = -1 the hot one, [S(rho) - S(gibbs(E - delta))] / delta.  S(rho) is
+    the full von Neumann entropy, so coherences matter here.  The shifted
+    mean energy must stay strictly inside the spectrum; otherwise a
+    BracketError propagates from the Gibbs inversion.
+    """
     system, delta = request.system, request.delta
     solve = gibbs_by_energy(system.energies, system.mean_energy + sign * delta)
     return sign * (solve.entropy - s_rho) / delta, solve
 
 
-def asymptotic_branch(request: AsymptoticRequest, branch: str) -> float:
-    """One branch of the heat-constrained asymptotic temperatures.
-
-    cold: [S(gibbs(E + delta)) - S(rho)] / delta
-    hot:  [S(rho) - S(gibbs(E - delta))] / delta
-
-    S(rho) is the full von Neumann entropy, so coherences matter here.  The
-    shifted mean energy must stay strictly inside the spectrum; otherwise a
-    BracketError propagates from the Gibbs inversion.
-    """
-    return _branch_solve(request, branch, request.system.entropy)[0]
-
-
 def asymptotic_effective(request: AsymptoticRequest) -> AsymptoticPair:
     """Both asymptotic branches; requires E +/- delta inside the spectrum."""
     s_rho = request.system.entropy
-    beta_c, cold = _branch_solve(request, "cold", s_rho)
-    beta_h, hot = _branch_solve(request, "hot", s_rho)
+    beta_c, cold = _branch_solve(request, 1.0, s_rho)
+    beta_h, hot = _branch_solve(request, -1.0, s_rho)
     return AsymptoticPair(beta_c=beta_c, beta_h=beta_h, cold=cold, hot=hot)
 
 

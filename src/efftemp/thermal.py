@@ -81,7 +81,8 @@ class QuantumSystem:
     @functools.cached_property
     def entropy(self) -> float:
         """Von Neumann entropy S(rho) in nats, from the validation's spectrum."""
-        # as linalg.von_neumann_entropy(rho), without a second eigvalsh
+        # no second eigvalsh; the reference von_neumann_entropy in
+        # tests/references.py gives the same bits
         return linalg.entropy_of_probabilities(self.spectrum)
 
 
@@ -237,14 +238,3 @@ def t_star(system: QuantumSystem) -> float:
         return -math.inf
     return gibbs_by_energy(e, mean).beta
 
-
-def beta_free_energy(system: QuantumSystem, beta: float) -> float:
-    """beta * F = beta * Tr[H rho] - S(rho); finite for every real beta."""
-    return float(beta) * system.mean_energy - system.entropy
-
-
-def free_energy(system: QuantumSystem, beta: float) -> float:
-    """Non-equilibrium free energy Tr[H rho] - S(rho)/beta at inverse temperature beta."""
-    if beta == 0.0:
-        raise ValidationError("free energy diverges at beta = 0; use beta_free_energy")
-    return beta_free_energy(system, beta) / float(beta)

@@ -10,7 +10,7 @@ import time
 import numpy as np
 
 from conftest import diag_system, inject_coherences, random_energies
-from efftemp import linalg, oracle
+from efftemp import linalg, oracle, temperatures
 from efftemp.catalysis import (
     QUTRIT_ENERGIES,
     JCConfig,
@@ -23,13 +23,13 @@ from efftemp.catalysis import (
 )
 from efftemp.temperatures import (
     AsymptoticRequest,
-    asymptotic_branch,
     asymptotic_effective,
     expansion_effective,
     single_copy_effective,
     tensor_power_effective,
 )
 from efftemp.thermal import QuantumSystem, gibbs_by_beta, t_star
+from references import build_cooling_protocol, simulated_protocol_heat
 
 
 def report(label: str, ok: bool, detail: str = "") -> None:
@@ -104,13 +104,11 @@ def test_criterion_4_swap_protocol_formula():
         dim = int(rng.integers(2, 6))
         system = diag_system(random_energies(rng, dim), rng.dirichlet(np.ones(dim)))
         beta_bath = float(rng.uniform(-2.0, 2.0))
-        protocol = oracle.build_cooling_protocol(system, beta_bath)
-        simulated = oracle.simulated_protocol_heat(system, beta_bath, protocol.pair)
+        protocol = build_cooling_protocol(system, beta_bath)
+        simulated = simulated_protocol_heat(system, beta_bath, protocol.pair)
         worst = max(worst, abs(simulated - protocol.heat_to_thermometer))
     qubit = diag_system([0.0, 1.0], [0.8, 0.2])
-    boundary = oracle.build_cooling_protocol(
-        qubit, single_copy_effective(qubit).beta_c
-    )
+    boundary = build_cooling_protocol(qubit, single_copy_effective(qubit).beta_c)
     ok = worst <= 1e-12 and boundary.delta_ij == 0.0
     report(
         "criterion 4: swap protocol vs joint-unitary simulation",
@@ -140,12 +138,12 @@ def test_criterion_5_asymptotic_consistency():
         system = diag_system(e, p)
         energy = system.mean_energy
         delta = 0.01 * min(e[-1] - energy, energy - e[0])
-        for branch in ("cold", "hot"):
+        for sign in (1.0, -1.0):
             def residual(d):
                 req = AsymptoticRequest(system=system, delta=d)
-                exact = asymptotic_branch(req, branch)
+                exact = temperatures._branch_solve(req, sign, system.entropy)[0]
                 pair = expansion_effective(req)
-                approx = pair.beta_c if branch == "cold" else pair.beta_h
+                approx = pair.beta_c if sign > 0 else pair.beta_h
                 return abs(approx - exact)
 
             ratios.append(residual(delta) / residual(delta / 2))

@@ -13,7 +13,6 @@ from efftemp.catalysis import (
     JCConfig,
     QutritCatalystSetup,
     channel_fixed_point,
-    excitation_number,
     jc_hamiltonian,
     qutrit_block_unitary,
     qutrit_catalyst_protocol,
@@ -27,6 +26,7 @@ from efftemp.catalysis import (
 from efftemp.linalg import SolverError, ValidationError
 from efftemp.temperatures import single_copy_effective, tensor_power_effective, virtual_spectrum
 from efftemp.thermal import QuantumSystem, gibbs_populations
+from references import excitation_number, unitary_evolution
 
 DEFAULT_CONFIG = JCConfig(omega=1.0, g=0.1, fock_levels=3, tau=28.5)
 ROTATED_QUTRIT_BETA = math.log(5 / 2 + 3 / math.sqrt(2))
@@ -95,7 +95,7 @@ class TestJCHamiltonian:
 
 def _atom_channel_at_tau(config: JCConfig):
     """The atom channel at tau of a uniform cavity, built independently of the config's cache."""
-    u = linalg.unitary_evolution(jc_hamiltonian(config), config.tau)
+    u = unitary_evolution(jc_hamiltonian(config), config.tau)
     return catalysis._frame_channel(
         u, uniform_superposition_state(config.fock_levels)[None], (config.fock_levels, 2)
     )
@@ -198,6 +198,11 @@ class TestFixedPoint:
         assert series.time_series[k_tau, 5] < 1e-6
 
 
+def spectrum_betas(system) -> np.ndarray:
+    """The virtual temperatures of a state's spectrum entries."""
+    return np.array([b for _, _, b in virtual_spectrum(system).entries])
+
+
 class Marginals(NamedTuple):
     """Per-sample marginals of an evolution of rho_A (x) X."""
 
@@ -210,8 +215,8 @@ class Marginals(NamedTuple):
         rows = []
         for t, sigma_a, sigma_r in zip(config.time_grid, self.sigma_a, self.sigma_r):
             # the per-state spectrum, not the batched core
-            betas_a = virtual_spectrum(QuantumSystem(config.cavity_energies, sigma_a)).betas()
-            betas_r = virtual_spectrum(QuantumSystem(config.atom_energies, sigma_r)).betas()
+            betas_a = spectrum_betas(QuantumSystem(config.cavity_energies, sigma_a))
+            betas_r = spectrum_betas(QuantumSystem(config.atom_energies, sigma_r))
             rows.append((
                 t,
                 betas_a.max(),
@@ -384,7 +389,7 @@ class TestTimeSeries:
         joint0 = linalg.tensor_product(cavity, atom)
         reference = None
         for t in config.time_grid[:: 12]:
-            u = linalg.unitary_evolution(h, float(t))
+            u = unitary_evolution(h, float(t))
             joint = u @ joint0 @ u.conj().T
             diag_h_basis = np.diag(v.conj().T @ joint @ v).real
             sums = {
@@ -405,7 +410,7 @@ class TestTimeSeries:
         joint0 = linalg.tensor_product(cavity, atom)
         purity0 = float(np.trace(joint0 @ joint0).real)
         for t in (3.7, 11.0, 28.5):
-            u = linalg.unitary_evolution(h, t)
+            u = unitary_evolution(h, t)
             joint = u @ joint0 @ u.conj().T
             assert abs(float(np.trace(joint @ joint).real) - purity0) <= 1e-10
 

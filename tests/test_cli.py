@@ -115,6 +115,24 @@ class TestSingle:
         assert code == 1 and report["status"] == 1
         assert "must be numeric, not boolean" in report["error"]
 
+    @pytest.mark.parametrize("field,text", [
+        ("energies", '{"energies": [0, %s], "populations": [0.5, 0.5]}'),
+        ("populations", '{"energies": [0, 1], "populations": [%s, 0.5]}'),
+        ("rho_re", '{"energies": [0, 1], "rho_re": [[0.5, %s], [0, 0.5]]}'),
+        ("rho_im", '{"energies": [0, 1], "rho_re": [[0.5, 0], [0, 0.5]], '
+                   '"rho_im": [[0, %s], [0, 0]]}'),
+    ])
+    def test_an_integer_past_the_float_range_exits_1(self, capsys, tmp_path, field, text):
+        # valid JSON: the decoder reads the literal as a Python int, which no float holds
+        path = tmp_path / "big.json"
+        path.write_text(text % ("1" + "0" * 400))
+        code = main(["single", str(path)])
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert code == 1 and report["status"] == 1 and captured.err == ""
+        error = f"{path}: {field} must be numeric: int too large to convert to float"
+        assert report["error"] == error
+
     def test_vts_csv_roundtrip(self, capsys, rotated_qutrit_file, tmp_path):
         out = tmp_path / "vts.csv"
         code, report = run_cli(capsys, "single", rotated_qutrit_file, "--out", str(out))
@@ -227,6 +245,11 @@ class TestOracle:
         r = report["results"]
         assert r["can_cool"] is True and r["can_heat"] is False
         assert r["agreement"] is True
+
+    def test_a_zero_loss_prints_without_a_sign(self, capsys, mixed_qubit_file):
+        code, report = run_cli(capsys, "oracle", mixed_qubit_file, "--beta-bath", "0")
+        loss = report["results"]["max_energy_loss"]
+        assert code == 0 and loss == 0.0 and math.copysign(1.0, loss) == 1.0
 
     def test_tie_at_the_bath_temperature_agrees(self, capsys, tmp_path):
         # beta_c and beta_h differ from the bath's 0.8 only by rounding

@@ -11,12 +11,11 @@ from efftemp import linalg, oracle, temperatures
 from efftemp.linalg import SolverError, ValidationError
 from efftemp.oracle import (
     GibbsStochasticLP,
-    build_cooling_protocol,
     heat_sign_oracle,
     max_energy_gain,
-    simulated_protocol_heat,
     thermomajorization_extremes,
 )
+from references import build_cooling_protocol, simulated_protocol_heat
 from efftemp.temperatures import EffectiveTempPair, single_copy_effective
 from efftemp.thermal import gibbs_by_beta, gibbs_populations
 

@@ -10,7 +10,6 @@ from efftemp import linalg, temperatures
 from efftemp.linalg import BracketError, SolverError, ValidationError
 from efftemp.temperatures import (
     AsymptoticRequest,
-    asymptotic_branch,
     asymptotic_effective,
     expansion_effective,
     extremal_pairs,
@@ -27,6 +26,11 @@ ROTATED_QUTRIT_BETA = np.log(5 / 2 + 3 / np.sqrt(2))
 
 def binary_entropy(p: float) -> float:
     return -(p * math.log(p) + (1 - p) * math.log(1 - p))
+
+
+def branch_beta(request, sign):
+    """One asymptotic branch, +1 cold and -1 hot, as asymptotic_effective solves it."""
+    return temperatures._branch_solve(request, sign, request.system.entropy)[0]
 
 
 def brute_force_extremes(energies, populations, n):
@@ -57,12 +61,12 @@ class TestVirtualSpectrum:
         e = random_energies(rng, 4)
         beta = 1.7
         system = diag_system(e, gibbs_by_beta(e, beta).populations)
-        betas = virtual_spectrum(system).betas()
+        betas = [b for _, _, b in virtual_spectrum(system).entries]
         assert_allclose(betas, beta, rtol=1e-10)
 
     def test_qubit_value(self):
         spectrum = virtual_spectrum(diag_system([0.0, 1.0], [0.8, 0.2]))
-        assert len(spectrum) == 1
+        assert len(spectrum.entries) == 1
         assert spectrum.entries[0][:2] == (0, 1)
         assert spectrum.entries[0][2] == pytest.approx(np.log(4), rel=1e-12)
 
@@ -535,11 +539,11 @@ class TestAsymptotic:
     def test_ground_state_cold_branch(self):
         system = diag_system([0.0, 1.0], [1.0, 0.0])
         request = AsymptoticRequest(system=system, delta=0.1)
-        cold = asymptotic_branch(request, "cold")
+        cold = branch_beta(request, 1.0)
         assert cold == pytest.approx(binary_entropy(0.1) / 0.1, abs=1e-10)
         assert cold == pytest.approx(3.2508, abs=5e-5)
         with pytest.raises(BracketError):
-            asymptotic_branch(request, "hot")
+            branch_beta(request, -1.0)
 
     def test_bracket_violation_both_branches(self):
         system = diag_system([0.0, 1.0], [0.5, 0.5])
@@ -558,7 +562,7 @@ class TestAsymptotic:
         system = diag_system(e, gibbs_by_beta(e, 0.5).populations)
         deltas = np.linspace(0.01, 0.4, 12)
         values = [
-            asymptotic_branch(AsymptoticRequest(system=system, delta=float(d)), "cold")
+            branch_beta(AsymptoticRequest(system=system, delta=float(d)), 1.0)
             for d in deltas
         ]
         assert np.all(np.diff(values) <= 1e-12)
@@ -568,8 +572,8 @@ class TestAsymptotic:
         system = diag_system(e, [0.5, 0.3, 0.2])
         request = AsymptoticRequest(system=system, delta=0.05)
         pair = asymptotic_effective(request)
-        assert pair.beta_c == asymptotic_branch(request, "cold")
-        assert pair.beta_h == asymptotic_branch(request, "hot")
+        assert pair.beta_c == branch_beta(request, 1.0)
+        assert pair.beta_h == branch_beta(request, -1.0)
         assert pair.cold.beta == gibbs_by_energy(e, system.mean_energy + 0.05).beta
         assert pair.hot.beta == gibbs_by_energy(e, system.mean_energy - 0.05).beta
         matched = expansion_effective(request).matched
@@ -592,8 +596,8 @@ class TestExpansion:
         assert pair.beta_c == pytest.approx(0.8 - correction, abs=1e-9)
         assert pair.beta_h == pytest.approx(0.8 + correction, abs=1e-9)
 
-    @pytest.mark.parametrize("branch", ["cold", "hot"])
-    def test_second_order_accuracy(self, rng, branch):
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["cold", "hot"])
+    def test_second_order_accuracy(self, rng, sign):
         # the expansion error must shrink ~4x when delta halves
         e = np.array([0.0, 0.35, 1.0])
         p = np.array([0.55, 0.3, 0.15])
@@ -602,8 +606,8 @@ class TestExpansion:
 
         def residual(d):
             req = AsymptoticRequest(system=system, delta=d)
-            exact = asymptotic_branch(req, branch)
-            approx = getattr(expansion_effective(req), "beta_c" if branch == "cold" else "beta_h")
+            exact = branch_beta(req, sign)
+            approx = getattr(expansion_effective(req), "beta_c" if sign > 0 else "beta_h")
             return abs(approx - exact)
 
         ratio = residual(delta) / residual(delta / 2)
@@ -616,7 +620,7 @@ class TestExpansion:
 
         def residual(d):
             req = AsymptoticRequest(system=system, delta=d)
-            return abs(expansion_effective(req).beta_c - asymptotic_branch(req, "cold"))
+            return abs(expansion_effective(req).beta_c - branch_beta(req, 1.0))
 
         ratio = residual(0.02) / residual(0.01)
         assert 7.0 < ratio < 9.0
