@@ -32,6 +32,8 @@ from .thermal import QuantumSystem
 
 CSV_FLOAT_FORMAT = "%.12g"
 SWEEP_GRID_POINTS = 41
+# the most --random systems one oracle run takes, 5 baths each
+_MAX_RANDOM_SYSTEMS = 100_000
 
 
 def _digest(data: bytes) -> str:
@@ -236,6 +238,8 @@ def cmd_oracle(args) -> tuple[dict, list, str]:
     for flag, value in (("--random", args.random), ("--seed", args.seed)):
         if value is not None and value < 0:
             raise ValidationError(f"{flag} must be a non-negative integer, got {value}")
+    if args.random is not None and args.random > _MAX_RANDOM_SYSTEMS:
+        raise ValidationError(f"--random must be at most {_MAX_RANDOM_SYSTEMS}, got {args.random}")
     verdict = oracle.heat_sign_oracle(system, args.beta_bath)
     pair = temperatures.single_copy_effective(system)
     predicted_cool, predicted_heat = oracle.predicted_verdicts(pair, args.beta_bath)

@@ -18,7 +18,6 @@ import numpy as np
 from . import linalg
 from .linalg import BracketError, SolverError, ValidationError
 
-BISECT_WIDTH_TOL = 1e-13
 BISECT_MAX_ITER = 200
 ENERGY_RTOL = 1e-12
 
@@ -128,17 +127,23 @@ def _gibbs_populations(e: np.ndarray, beta: float) -> np.ndarray:
     return w / w.sum()
 
 
-def _result_from_populations(e: np.ndarray, beta: float, p: np.ndarray) -> GibbsSolveResult:
+def _energy_moments(e: np.ndarray, p: np.ndarray) -> tuple[float, float]:
+    """Mean and variance of the energy under populations p."""
     mean = float(p @ e)
     # a squared deviation may overflow to inf; where its weight is 0 it adds 0
     with np.errstate(over="ignore"):
         var = float(p @ np.where(p > 0.0, (e - mean) ** 2, 0.0))
+    return mean, max(0.0, var)
+
+
+def _result_from_populations(e: np.ndarray, beta: float, p: np.ndarray) -> GibbsSolveResult:
+    mean, var = _energy_moments(e, p)
     return GibbsSolveResult(
         beta=beta,
         populations=p,
         mean_energy=mean,
         entropy=linalg.entropy_of_probabilities(p),
-        energy_variance=max(0.0, var),
+        energy_variance=var,
     )
 
 
@@ -149,13 +154,19 @@ def gibbs_by_beta(energies, beta: float) -> GibbsSolveResult:
 
 
 def gibbs_by_energy(energies, target_energy: float) -> GibbsSolveResult:
-    """Invert beta |-> mean energy by bisection.
+    """Invert beta |-> mean energy by safeguarded Newton iteration.
 
-    The map is strictly decreasing, so a bracket is expanded geometrically
+    The map is strictly decreasing with slope -Var(beta), so from beta = 0
+    each step evaluates the mean m and variance v once and moves to
+    beta + (m - target) / v.  Every evaluated beta tightens a bracket
+    (lo, hi) with mean(lo) >= target >= mean(hi).  A step that leaves the
+    bracket is replaced by a doubling while one side is still unbounded
     (into negative beta when the target exceeds the infinite-temperature
-    mean) and then bisected to width 1e-13, and on past it while the
-    midpoint's residual exceeds 1e-12 * max(1, |target|), or to machine
-    stall.  The result is accepted only if it meets that residual bound.
+    mean), and by a bisection once both sides are known.  The iteration
+    stops when the residual is within 1e-12 * max(1, |target|) and the
+    Newton step is below 1e-14 * max(1, |beta|), or when the bracket
+    stalls; the last evaluated state is accepted only if it meets that
+    residual bound.
 
     Raises
     ------
@@ -163,7 +174,7 @@ def gibbs_by_energy(energies, target_energy: float) -> GibbsSolveResult:
         If `target_energy` is outside the open interval (e_min, e_max); for
         a fully degenerate ladder only its single energy is allowed.
     SolverError
-        If the residual tolerance is not met within 200 bisection steps.
+        If the residual tolerance is not met within 200 steps.
     """
     e = check_energy_levels(energies)
     target = float(target_energy)
@@ -179,47 +190,43 @@ def gibbs_by_energy(energies, target_energy: float) -> GibbsSolveResult:
         raise BracketError(
             f"target energy {target:.12g} outside the open interval ({emin:.12g}, {emax:.12g})"
         )
-
-    def mean(b: float) -> float:
-        return float(_gibbs_populations(e, b) @ e)
-
-    e0 = mean(0.0)
-    if target == e0:
-        lo = hi = 0.0
-    elif target < e0:
-        lo, hi = 0.0, 1.0
-        while mean(hi) > target:
-            hi *= 2.0
-            if hi > 1e300:
-                raise SolverError("bracket expansion overflow")
-    else:
-        lo, hi = -1.0, 0.0
-        while mean(lo) < target:
-            lo *= 2.0
-            if lo < -1e300:
-                raise SolverError("bracket expansion overflow")
     bound = ENERGY_RTOL * max(1.0, abs(target))
-    # invariant: mean(lo) >= target >= mean(hi); past the width tolerance a
-    # wide span bisects on while the midpoint misses the residual bound
+    # invariant: mean(lo) >= target >= mean(hi), a side not yet met at -inf/+inf
+    lo, hi = -math.inf, math.inf
+    beta = 0.0
     for _ in range(BISECT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        m = mean(mid)
-        if hi - lo <= BISECT_WIDTH_TOL and abs(m - target) <= bound:
+        p = _gibbs_populations(e, beta)
+        m, v = _energy_moments(e, p)
+        if m == target:
             break
         if m > target:
-            lo = mid
+            lo = beta
         else:
-            hi = mid
-    beta = 0.5 * (lo + hi)
-    result = gibbs_by_beta(e, beta)
-    residual = abs(result.mean_energy - target)
+            hi = beta
+        # a zero variance gives no slope: NaN fails the bracket test below
+        step = (m - target) / v if v > 0.0 else math.nan
+        if abs(m - target) <= bound and abs(step) <= 1e-14 * max(1.0, abs(beta)):
+            break
+        nxt = beta + step
+        if not lo < nxt < hi:
+            if hi == math.inf:
+                nxt = max(2.0 * lo, 1.0)
+            elif lo == -math.inf:
+                nxt = min(2.0 * hi, -1.0)
+            else:
+                # lo and hi share a sign, as beta = 0 is one of them or outside
+                nxt = lo + 0.5 * (hi - lo)
+                if nxt == lo or nxt == hi:
+                    break
+            if abs(nxt) > 1e300:
+                raise SolverError("bracket expansion overflow")
+        beta = nxt
+    residual = abs(m - target)
     if residual > bound:
         raise SolverError(
-            f"bisection stalled with energy residual {residual:.3e} at beta={beta:.12g}"
+            f"Newton-bisection stalled with energy residual {residual:.3e} at beta={beta:.12g}"
         )
-    return result
+    return _result_from_populations(e, beta, p)
 
 
 def t_star(system: QuantumSystem) -> float:

@@ -6,7 +6,9 @@ simulation certifies its closed-form transfer; the Jaynes-Cummings
 excitation operator checks that the Hamiltonian conserves excitations;
 `unitary_evolution` is the eigendecomposition propagator, and
 `von_neumann_entropy` the entropy of one state from its own validation,
-which `QuantumSystem.entropy` reads without a second eigvalsh.
+which `QuantumSystem.entropy` reads without a second eigvalsh;
+`bisect_gibbs_by_energy` is the bisection that the Newton inversion
+`thermal.gibbs_by_energy` replaced.
 """
 
 from __future__ import annotations
@@ -18,11 +20,20 @@ import numpy as np
 
 from efftemp import linalg, temperatures
 from efftemp.catalysis import JCConfig
-from efftemp.linalg import ValidationError
-from efftemp.thermal import QuantumSystem
+from efftemp.linalg import BracketError, SolverError, ValidationError
+from efftemp.thermal import (
+    ENERGY_RTOL,
+    GibbsSolveResult,
+    QuantumSystem,
+    _gibbs_populations,
+    check_energy_levels,
+    gibbs_by_beta,
+)
 
 # the largest argument math.exp takes without overflowing
 _EXP_MAX = math.log(np.finfo(float).max)
+BISECT_WIDTH_TOL = 1e-13
+BISECT_MAX_ITER = 200
 
 
 def unitary_evolution(op, t: float) -> np.ndarray:
@@ -140,3 +151,77 @@ def simulated_protocol_heat(
     joint = u @ linalg.tensor_product(system.rho, gamma_b) @ u.conj().T
     sigma_b = linalg.partial_trace(joint, (d, 2), keep="second")
     return float(np.real(np.trace(h_b @ (sigma_b - gamma_b))))
+
+
+def bisect_gibbs_by_energy(energies, target_energy: float) -> GibbsSolveResult:
+    """Invert beta |-> mean energy by bisection.
+
+    The map is strictly decreasing, so a bracket is expanded geometrically
+    (into negative beta when the target exceeds the infinite-temperature
+    mean) and then bisected to width 1e-13, and on past it while the
+    midpoint's residual exceeds 1e-12 * max(1, |target|), or to machine
+    stall.  The result is accepted only if it meets that residual bound.
+
+    Raises
+    ------
+    BracketError
+        If `target_energy` is outside the open interval (e_min, e_max); for
+        a fully degenerate ladder only its single energy is allowed.
+    SolverError
+        If the residual tolerance is not met within 200 bisection steps.
+    """
+    e = check_energy_levels(energies)
+    target = float(target_energy)
+    emin, emax = float(e[0]), float(e[-1])
+    tol = linalg.energy_equal_tol(e)
+    if emax - emin <= tol:
+        if abs(target - emin) <= tol:
+            return gibbs_by_beta(e, 0.0)
+        raise BracketError(
+            f"fully degenerate spectrum at {emin:.12g}; target {target:.12g} unreachable"
+        )
+    if not (emin < target < emax):
+        raise BracketError(
+            f"target energy {target:.12g} outside the open interval ({emin:.12g}, {emax:.12g})"
+        )
+
+    def mean(b: float) -> float:
+        return float(_gibbs_populations(e, b) @ e)
+
+    e0 = mean(0.0)
+    if target == e0:
+        lo = hi = 0.0
+    elif target < e0:
+        lo, hi = 0.0, 1.0
+        while mean(hi) > target:
+            hi *= 2.0
+            if hi > 1e300:
+                raise SolverError("bracket expansion overflow")
+    else:
+        lo, hi = -1.0, 0.0
+        while mean(lo) < target:
+            lo *= 2.0
+            if lo < -1e300:
+                raise SolverError("bracket expansion overflow")
+    bound = ENERGY_RTOL * max(1.0, abs(target))
+    # invariant: mean(lo) >= target >= mean(hi); past the width tolerance a
+    # wide span bisects on while the midpoint misses the residual bound
+    for _ in range(BISECT_MAX_ITER):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        m = mean(mid)
+        if hi - lo <= BISECT_WIDTH_TOL and abs(m - target) <= bound:
+            break
+        if m > target:
+            lo = mid
+        else:
+            hi = mid
+    beta = 0.5 * (lo + hi)
+    result = gibbs_by_beta(e, beta)
+    residual = abs(result.mean_energy - target)
+    if residual > bound:
+        raise SolverError(
+            f"bisection stalled with energy residual {residual:.3e} at beta={beta:.12g}"
+        )
+    return result

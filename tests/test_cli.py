@@ -299,6 +299,22 @@ class TestOracle:
         assert "results" not in report
         assert captured.err == ""
 
+    def test_random_past_the_cap_exits_1_before_any_trial(self, capsys, gibbs_file, monkeypatch):
+        def no_trials(*args):
+            raise AssertionError("trials started")
+
+        monkeypatch.setattr(cli.oracle, "equivalence_trials", no_trials)
+        cap = cli._MAX_RANDOM_SYSTEMS
+        for value in (cap + 1, 10**9):
+            code = main(["oracle", gibbs_file, "--beta-bath", "0.2", "--random", str(value),
+                         "--seed", "1"])
+            captured = capsys.readouterr()
+            report = json.loads(captured.out)
+            assert code == 1 and report["status"] == 1
+            assert report["error"] == f"--random must be at most {cap}, got {value}"
+            assert "results" not in report
+            assert captured.err == ""
+
     def test_zero_random_systems(self, capsys, gibbs_file):
         code, report = run_cli(
             capsys, "oracle", gibbs_file, "--beta-bath", "0.2", "--random", "0", "--seed", "3"

@@ -8,8 +8,8 @@ strict-JSON report (no NaN or Infinity token), exit with the report's
 turns a numpy RuntimeWarning into an error, so a case that warns fails too.
 
 Every size drawn (array lengths, --fock, --steps, --copies, --random) is
-well below its cap, or far past the float range where a check must reject
-it before anything is built.  --random is never huge: nothing caps it.
+well below its cap, or past it where a check must reject it before anything
+is built: far past the float range, or one past the --random cap.
 """
 
 import json
@@ -36,7 +36,7 @@ SIZES = {
     "--fock": (["2", "3", "5"], ["1", "0", "-1", "2.5", "x", "1e3", str(HUGE)]),
     "--steps": (["1", "7", "40"], ["0", "-3", "x", "1.0", str(HUGE)]),
     "--copies": (["1", "3", "9"], ["0", "-2", "x", str(HUGE)]),
-    "--random": (["0", "1", "3"], ["-1", "x", "2.5"]),
+    "--random": (["0", "1", "3"], ["-1", "x", "2.5", str(cli._MAX_RANDOM_SYSTEMS + 1)]),
     "--seed": (["0", "1", "7"], ["-1", "x", str(HUGE)]),
 }
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,9 +7,9 @@ from numpy.testing import assert_allclose
 
 from conftest import diag_system, random_density, random_energies
 from efftemp import thermal
-from efftemp.linalg import BracketError, ValidationError
+from efftemp.linalg import BracketError, SolverError, ValidationError
 from efftemp.thermal import QuantumSystem, gibbs_by_beta, gibbs_by_energy, t_star
-from references import von_neumann_entropy
+from references import bisect_gibbs_by_energy, von_neumann_entropy
 
 
 class TestGibbsByBeta:
@@ -62,8 +63,8 @@ class TestGibbsByEnergy:
 
     @pytest.mark.parametrize("exponent", [3, 4, 5, 6, 8, 10, 12, 16])
     def test_wide_span_inverts(self, exponent):
-        # at these spans a bracket 1e-13 wide in beta still misses the energy
-        # residual bound, so the bisection must narrow it further
+        # at these spans a beta within 1e-13 of the root still misses the
+        # energy residual bound, so the iteration must go on past it
         span = 10.0**exponent
         target = 0.7 * span
         r = gibbs_by_energy([0.0, span], target)
@@ -125,6 +126,86 @@ class TestGibbsByEnergy:
         grid = np.linspace(-8.0, 8.0, 81)
         means = [gibbs_by_beta(e, b).mean_energy for b in grid]
         assert np.all(np.diff(means) < 0)
+
+
+def _ulps_inside(edge: float, toward: float, ulps: int) -> float:
+    for _ in range(ulps):
+        edge = float(np.nextafter(edge, toward))
+    return edge
+
+
+def _seeded_ladders():
+    """(energies, target) over d = 2-64, spans 1e-3 to 1e3 and negative energies."""
+    rng = np.random.default_rng(25)
+    for _ in range(400):
+        dim = int(rng.integers(2, 65))
+        span = 10.0 ** rng.uniform(-3.0, 3.0)
+        e = np.sort(rng.uniform(0.0, 1.0, dim))
+        e = (e - e[0]) / (e[-1] - e[0]) * span + rng.uniform(-span, span)
+        yield e, float(rng.dirichlet(np.ones(dim)) @ e)
+    # the span 1000 that a fixed-width bisection could not invert
+    yield np.array([0.0, 1000.0]), 700.0
+
+
+EDGE_LADDERS = [[0.0, 1.0], [1.0, 2.0], [-2.0, -1.0, 0.0, 5e-4], [0.0, 1e-9], [0.0, 1e9],
+                [0.0, 0.3, 1.1, 2.0], [0.0, 1e200]]
+EDGE_CASES = [
+    (e, target)
+    for e in EDGE_LADDERS
+    for ulps in (1, 4)
+    for target in (_ulps_inside(e[0], e[-1], ulps), _ulps_inside(e[-1], e[0], ulps))
+] + [([0.0, 1e-9], 3e-10), ([0.0, 1e9], 3e8), ([0.0, 1e200], 5e199), ([0.0, 1e200], 1e197)]
+
+
+class TestNewtonAgainstBisection:
+    """The Newton iteration against the bisection it replaced (tests/references.py)."""
+
+    def test_both_meet_the_bound_and_agree(self, monkeypatch):
+        calls = []
+        populations = thermal._gibbs_populations
+
+        def counted(e, beta):
+            calls.append(beta)
+            return populations(e, beta)
+
+        monkeypatch.setattr(thermal, "_gibbs_populations", counted)
+        evaluations = []
+        for e, target in _seeded_ladders():
+            bound = thermal.ENERGY_RTOL * max(1.0, abs(target))
+            calls.clear()
+            newton = gibbs_by_energy(e, target)
+            evaluations.append(len(calls))
+            bisect = bisect_gibbs_by_energy(e, target)
+            assert abs(newton.mean_energy - target) <= bound
+            assert abs(bisect.mean_energy - target) <= bound
+            # a beta displaced by x moves the mean by about Var * x
+            assert abs(newton.beta - bisect.beta) <= 1e-13 + bound / newton.energy_variance
+        assert np.median(evaluations) <= 8
+
+    def test_result_is_the_gibbs_state_at_its_beta(self):
+        for e, target in _seeded_ladders():
+            solve = gibbs_by_energy(e, target)
+            again = gibbs_by_beta(e, solve.beta)
+            assert solve.populations.tobytes() == again.populations.tobytes()
+            assert (solve.mean_energy, solve.entropy, solve.energy_variance) == (
+                again.mean_energy, again.entropy, again.energy_variance)
+
+    @pytest.mark.parametrize("energies,target", EDGE_CASES)
+    def test_edge_targets_meet_the_bound_or_raise_quietly(self, energies, target):
+        bound = thermal.ENERGY_RTOL * max(1.0, abs(target))
+        outcomes = []
+        for solve in (gibbs_by_energy, bisect_gibbs_by_energy):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    result = solve(energies, target)
+                except (BracketError, SolverError) as exc:
+                    outcomes.append(type(exc))
+                    continue
+            assert abs(result.mean_energy - target) <= bound
+            outcomes.append(None)
+        # the reference solves exactly the targets the Newton iteration solves
+        assert outcomes[0] is outcomes[1]
 
 
 class TestEntropyDerivatives:
