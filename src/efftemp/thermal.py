@@ -156,17 +156,23 @@ def gibbs_by_beta(energies, beta: float) -> GibbsSolveResult:
 def gibbs_by_energy(energies, target_energy: float) -> GibbsSolveResult:
     """Invert beta |-> mean energy by safeguarded Newton iteration.
 
-    The map is strictly decreasing with slope -Var(beta), so from beta = 0
-    each step evaluates the mean m and variance v once and moves to
-    beta + (m - target) / v.  Every evaluated beta tightens a bracket
-    (lo, hi) with mean(lo) >= target >= mean(hi).  A step that leaves the
-    bracket is replaced by a doubling while one side is still unbounded
-    (into negative beta when the target exceeds the infinite-temperature
-    mean), and by a bisection once both sides are known.  The iteration
-    stops when the residual is within 1e-12 * max(1, |target|) and the
-    Newton step is below 1e-14 * max(1, |beta|), or when the bracket
-    stalls; the last evaluated state is accepted only if it meets that
-    residual bound.
+    The map is strictly decreasing with slope -Var(beta).  From beta = 0
+    each step evaluates the mean m and variance v once.  Take edge to be
+    the spectral edge nearer the target.  While |m - target| is below half
+    the target's distance from that edge, the step is plain Newton,
+    (m - target) / v.  Farther out it is Newton on log |m - edge|: in the
+    exponential tail m - edge falls like exp(-gap * beta), so the log is
+    near linear there, where plain Newton would advance beta by about one
+    inverse level gap per step.  Every evaluated beta tightens a
+    bracket (lo, hi) with mean(lo) >= target >= mean(hi).  A step that
+    leaves the bracket is replaced by a doubling while one side is still
+    unbounded (into negative beta when the target exceeds the
+    infinite-temperature mean), and by a bisection once both are known.
+    The iteration stops when the residual is within
+    1e-12 * max(1, |target|) and either the step is below
+    1e-14 * max(1, |beta|) or the mean is a float next to the target, or
+    when the bracket stalls; the last evaluated state is accepted only if it
+    meets that residual bound.
 
     Raises
     ------
@@ -174,7 +180,8 @@ def gibbs_by_energy(energies, target_energy: float) -> GibbsSolveResult:
         If `target_energy` is outside the open interval (e_min, e_max); for
         a fully degenerate ladder only its single energy is allowed.
     SolverError
-        If the residual tolerance is not met within 200 steps.
+        If the iteration has not stopped within 200 steps, or stops outside
+        the residual bound.
     """
     e = check_energy_levels(energies)
     target = float(target_energy)
@@ -191,10 +198,15 @@ def gibbs_by_energy(energies, target_energy: float) -> GibbsSolveResult:
             f"target energy {target:.12g} outside the open interval ({emin:.12g}, {emax:.12g})"
         )
     bound = ENERGY_RTOL * max(1.0, abs(target))
+    side = 1.0 if target - emin <= emax - target else -1.0
+    edge = emin if side > 0 else emax
+    gap = side * (target - edge)
+    log_gap = math.log(gap)
     # invariant: mean(lo) >= target >= mean(hi), a side not yet met at -inf/+inf
     lo, hi = -math.inf, math.inf
-    beta = 0.0
+    nxt = 0.0
     for _ in range(BISECT_MAX_ITER):
+        beta = nxt
         p = _gibbs_populations(e, beta)
         m, v = _energy_moments(e, p)
         if m == target:
@@ -203,11 +215,22 @@ def gibbs_by_energy(energies, target_energy: float) -> GibbsSolveResult:
             lo = beta
         else:
             hi = beta
-        # a zero variance gives no slope: NaN fails the bracket test below
-        step = (m - target) / v if v > 0.0 else math.nan
-        if abs(m - target) <= bound and abs(step) <= 1e-14 * max(1.0, abs(beta)):
+        dist = side * (m - edge)
+        # a zero variance gives no slope, nor does a mean on the edge; NaN
+        # fails the bracket test below
+        if not (v > 0.0 and dist > 0.0):
+            newton = math.nan
+        elif abs(m - target) < 0.5 * gap:
+            newton = (m - target) / v
+        else:
+            newton = side * (math.log(dist) - log_gap) * dist / v
+        # a mean next to the target off the edge leaves no beta to improve on
+        if abs(m - target) <= bound and (
+            abs(newton) <= 1e-14 * max(1.0, abs(beta))
+            or (dist > 0.0 and abs(m - target) <= math.ulp(target))
+        ):
             break
-        nxt = beta + step
+        nxt = beta + newton
         if not lo < nxt < hi:
             if hi == math.inf:
                 nxt = max(2.0 * lo, 1.0)
@@ -220,7 +243,11 @@ def gibbs_by_energy(energies, target_energy: float) -> GibbsSolveResult:
                     break
             if abs(nxt) > 1e300:
                 raise SolverError("bracket expansion overflow")
-        beta = nxt
+    else:
+        raise SolverError(
+            f"Newton-bisection stalled with energy residual {abs(m - target):.3e} "
+            f"at beta={beta:.12g} after {BISECT_MAX_ITER} steps"
+        )
     residual = abs(m - target)
     if residual > bound:
         raise SolverError(

@@ -22,6 +22,7 @@ from efftemp import linalg, temperatures
 from efftemp.catalysis import JCConfig
 from efftemp.linalg import BracketError, SolverError, ValidationError
 from efftemp.thermal import (
+    BISECT_MAX_ITER,
     ENERGY_RTOL,
     GibbsSolveResult,
     QuantumSystem,
@@ -33,7 +34,6 @@ from efftemp.thermal import (
 # the largest argument math.exp takes without overflowing
 _EXP_MAX = math.log(np.finfo(float).max)
 BISECT_WIDTH_TOL = 1e-13
-BISECT_MAX_ITER = 200
 
 
 def unitary_evolution(op, t: float) -> np.ndarray:

@@ -66,6 +66,14 @@ class TestSingle:
         assert report["results"]["beta_h"] == pytest.approx(0.9, abs=1e-10)
         assert report["input_digest"].startswith("sha256:")
 
+    def test_an_exponentially_small_excited_population(self, capsys, tmp_path):
+        # a mean of 1e-100 meets the energy residual bound at any beta above
+        # about 28; beta_star is the root 100 ln 10
+        path = write_json(tmp_path / "tail.json", {"energies": [0, 1], "populations": [1, 1e-100]})
+        code, report = run_cli(capsys, "single", path)
+        assert code == 0
+        assert report["results"]["beta_star"] == pytest.approx(100 * math.log(10), rel=1e-13)
+
     def test_rotated_qutrit_values(self, capsys, rotated_qutrit_file):
         code, report = run_cli(capsys, "single", rotated_qutrit_file)
         assert code == 0
@@ -711,6 +719,13 @@ class TestExtremeMagnitudesAreQuiet:
         # a zero Gibbs weight meets an infinite squared deviation
         (["asymptotic", "--delta", "0.1"],
          {"energies": [0, 1e200], "populations": [1.0, 0.0]}, 2, "bisection"),
+        # the Gibbs inversions on a span of 3e6, and with negative energies
+        (["asymptotic", "--delta", "1000", "--expansion"],
+         {"energies": [0, 1e6, 3e6], "populations": [0.998, 0.0015, 0.0005]}, 0,
+         pytest.approx(2991162963.09, rel=1e-9)),
+        (["asymptotic", "--delta", "0.01", "--expansion"],
+         {"energies": [-2, -1, 0, 5e-4], "populations": [1e-9, 0.2, 0.3, 0.499999999]}, 0,
+         pytest.approx(0.234879665745, rel=1e-9)),
         (["single"], {"energies": [0, 1], "populations": [1e308, 1e308]}, 1,
          "state trace inf+0j differs from 1"),
         (["single"], {"energies": [0, 1], "rho_re": [[0.5, 1e308], [-1e308, 0.5]]}, 1,
@@ -719,7 +734,8 @@ class TestExtremeMagnitudesAreQuiet:
         (["single"], {"energies": [0, 1], "rho_re": [[0.6, 0.2], [0.2, 0.4]],
                       "rho_im": [[0, math.inf], [-0.1, 0]]}, 1, "state must be finite"),
     ], ids=["single-span", "asymptotic-span", "variance-inf", "variance-zero-weight",
-            "trace-overflow", "hermitian-overflow", "rho-im-inf"])
+            "span-3e6", "negative-energies", "trace-overflow", "hermitian-overflow",
+            "rho-im-inf"])
     def test_one_strict_report_and_nothing_on_stderr(self, capsys, tmp_path, argv, doc,
                                                      status, found):
         path = write_json(tmp_path / "extreme.json", doc)

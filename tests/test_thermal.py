@@ -154,7 +154,40 @@ EDGE_CASES = [
     for e in EDGE_LADDERS
     for ulps in (1, 4)
     for target in (_ulps_inside(e[0], e[-1], ulps), _ulps_inside(e[-1], e[0], ulps))
-] + [([0.0, 1e-9], 3e-10), ([0.0, 1e9], 3e8), ([0.0, 1e200], 5e199), ([0.0, 1e200], 1e197)]
+] + [([0.0, 1e-9], 3e-10), ([0.0, 1e9], 3e8), ([0.0, 1e200], 5e199), ([0.0, 1e200], 1e197),
+     ([0.0, 1.0], 1e-100), ([0.0, 1.0], 1e-300), ([0.0, 1.0], 1.0 - 1e-15)]
+
+
+def _out_of_reach(energies, target):
+    """On [0, 1e200] off its middle, where the iteration stalls.
+
+    The variance is inf or 0 at every float beta in reach, so the iteration
+    can only bisect [0, 1], which does not come down to a root of order
+    1e-197 in 200 steps.
+    """
+    return energies[-1] == 1e200 and target != 5e199
+
+
+def _root(energies, target):
+    """The exact root on two levels, else the reference bisection's."""
+    if len(energies) == 2:
+        a, b = energies
+        return math.log((b - target) / (target - a)) / (b - a)
+    return bisect_gibbs_by_energy(energies, target).beta
+
+
+def _beta_spread(energies, beta):
+    """How far from the root beta may sit when the mean is known to double rounding.
+
+    A beta displaced by x moves the mean by about Var * x, and the mean
+    p @ e of d levels is known to about d ulps of p @ |e|, or to the least
+    subnormal.
+    """
+    e = np.asarray(energies, dtype=float)
+    g = gibbs_by_beta(e, beta)
+    noise = 16 * e.size * (np.finfo(float).eps * float(g.populations @ np.abs(e)) + 5e-324)
+    spread = noise / g.energy_variance if g.energy_variance > 0.0 else math.inf
+    return 1e-13 * max(1.0, abs(beta)) + spread
 
 
 class TestNewtonAgainstBisection:
@@ -183,7 +216,8 @@ class TestNewtonAgainstBisection:
         assert np.median(evaluations) <= 8
 
     def test_result_is_the_gibbs_state_at_its_beta(self):
-        for e, target in _seeded_ladders():
+        edges = [(e, target) for e, target in EDGE_CASES if not _out_of_reach(e, target)]
+        for e, target in [*_seeded_ladders(), *edges]:
             solve = gibbs_by_energy(e, target)
             again = gibbs_by_beta(e, solve.beta)
             assert solve.populations.tobytes() == again.populations.tobytes()
@@ -191,21 +225,18 @@ class TestNewtonAgainstBisection:
                 again.mean_energy, again.entropy, again.energy_variance)
 
     @pytest.mark.parametrize("energies,target", EDGE_CASES)
-    def test_edge_targets_meet_the_bound_or_raise_quietly(self, energies, target):
+    def test_edge_targets_find_the_root_quietly(self, energies, target):
         bound = thermal.ENERGY_RTOL * max(1.0, abs(target))
-        outcomes = []
-        for solve in (gibbs_by_energy, bisect_gibbs_by_energy):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                try:
-                    result = solve(energies, target)
-                except (BracketError, SolverError) as exc:
-                    outcomes.append(type(exc))
-                    continue
-            assert abs(result.mean_energy - target) <= bound
-            outcomes.append(None)
-        # the reference solves exactly the targets the Newton iteration solves
-        assert outcomes[0] is outcomes[1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if _out_of_reach(energies, target):
+                with pytest.raises(SolverError, match="bisection"):
+                    gibbs_by_energy(energies, target)
+                return
+            result = gibbs_by_energy(energies, target)
+            root = _root(energies, target)
+        assert abs(result.mean_energy - target) <= bound
+        assert abs(result.beta - root) <= _beta_spread(energies, root)
 
 
 class TestEntropyDerivatives:
