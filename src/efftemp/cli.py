@@ -192,7 +192,7 @@ def cmd_single(args) -> tuple[dict, list, str]:
         "beta_c": pair.beta_c,
         "beta_h": pair.beta_h,
         "beta_star": thermal.t_star(system),
-        "vts": [[i, j, b] for i, j, b in spectrum.entries],
+        "vts": spectrum.entries,
     }
     warnings: list[str] = []
     if args.kelvin:

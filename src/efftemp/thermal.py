@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -42,24 +42,26 @@ def check_energy_levels(energies) -> np.ndarray:
 class QuantumSystem:
     """A Hamiltonian spectrum paired with a density matrix.
 
-    `energies` are the Hamiltonian eigenvalues in ascending order, and
-    `rho` is expressed in the same energy eigenbasis.  `spectrum` holds the
+    `energies` are the Hamiltonian eigenvalues in ascending order, and `rho`
+    is expressed in the same energy eigenbasis.  `rho` is validated but not
+    kept: the system holds its diagonal, `populations`, and `spectrum`, the
     eigenvalues of `rho` that its validation computed.
     """
 
     energies: np.ndarray
-    rho: np.ndarray
+    rho: InitVar[np.ndarray]
+    populations: np.ndarray = field(init=False)
     spectrum: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, rho):
         e = check_energy_levels(self.energies)
-        if np.ndim(self.rho) != 2:  # one state, not a stack of them
-            raise ValidationError(f"state must be square, got shape {np.shape(self.rho)}")
-        rho, spectrum = linalg.checked_state(self.rho)
+        if np.ndim(rho) != 2:  # one state, not a stack of them
+            raise ValidationError(f"state must be square, got shape {np.shape(rho)}")
+        rho, spectrum = linalg.checked_state(rho)
         if rho.shape[0] != e.size:
             raise ValidationError(f"state dimension {rho.shape[0]} != {e.size} energy levels")
         object.__setattr__(self, "energies", e)
-        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "populations", np.diag(rho).real.copy())  # p_i = <e_i| rho |e_i>
         object.__setattr__(self, "spectrum", spectrum)
         if abs(self.populations.sum() - 1.0) > 1e-10:
             raise ValidationError("populations do not sum to 1 within 1e-10")
@@ -67,11 +69,6 @@ class QuantumSystem:
     @property
     def dim(self) -> int:
         return self.energies.size
-
-    @property
-    def populations(self) -> np.ndarray:
-        """p_i = <e_i| rho |e_i>."""
-        return np.diag(self.rho).real.copy()
 
     @property
     def mean_energy(self) -> float:

@@ -148,7 +148,8 @@ def simulated_protocol_heat(
     h_int[2 * i + 1, 2 * j + 0] = 1.0
     u = unitary_evolution(h_int, math.pi / 2)
 
-    joint = u @ linalg.tensor_product(system.rho, gamma_b) @ u.conj().T
+    rho = np.diag(system.populations).astype(complex)  # every simulated system is diagonal
+    joint = u @ linalg.tensor_product(rho, gamma_b) @ u.conj().T
     sigma_b = linalg.partial_trace(joint, (d, 2), keep="second")
     return float(np.real(np.trace(h_b @ (sigma_b - gamma_b))))
 

@@ -6,7 +6,8 @@ tests/golden/states/, so a report names the relative paths of its argv and
 nothing of the machine.  The report is written to reports/<name>.json, and
 the CSV the case wrote, if any, to reports/<name>.csv.  environment.json
 records what the floats' last bits depend on: numpy, its BLAS and LAPACK,
-the C library and the CPU features numpy dispatches on.
+the OpenBLAS kernel picked at load time, the C library and the CPU features
+numpy dispatches on.
 
 Regenerate only for a stated report change, and say so in CHANGES.md:
 
@@ -16,6 +17,7 @@ Regenerate only for a stated report change, and say so in CHANGES.md:
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import io
 import json
 import os
@@ -38,12 +40,29 @@ def load_cases() -> list[dict]:
 
 
 def environment() -> dict:
-    """The numpy, BLAS, LAPACK, C library and CPU features of this process."""
+    """The numpy, BLAS, LAPACK, OpenBLAS kernel, C library and CPU features
+    of this process.
+
+    OpenBLAS picks its kernel from the CPU, or from OPENBLAS_CORETYPE, when
+    it loads, and two kernels can differ in the last bits of the same call.
+    The kernel is read from numpy's bundled OpenBLAS; it is None where numpy
+    bundles none or the library lacks the symbol.
+    """
     try:
         deps = np.show_config(mode="dicts")["Build Dependencies"]
         libs = {k: f"{deps[k]['name']} {deps[k].get('version')}" for k in ("blas", "lapack")}
     except (TypeError, KeyError):  # numpy < 1.26 has no dict form
         libs = {}
+    kernel = None
+    bundled = Path(np.__file__).parent.parent / "numpy.libs"
+    for lib in sorted(bundled.glob("libscipy_openblas64_*.so")):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        kernel = corename().decode()
+        break
     try:
         from numpy._core._multiarray_umath import __cpu_features__
     except ImportError:  # numpy < 2
@@ -51,6 +70,7 @@ def environment() -> dict:
     return {
         "numpy": np.__version__,
         **libs,
+        "openblas_kernel": kernel,
         "libc": " ".join(platform.libc_ver()),
         "machine": platform.machine(),
         "cpu_features": sorted(k for k, on in __cpu_features__.items() if on),

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -340,13 +341,14 @@ class TestOracle:
         path = write_json(
             tmp_path / "pinned.json", {"energies": [0, 1, 2], "populations": [0.5, 0.3, 0.2]}
         )
-        code = main(["oracle", path, f"--beta-bath={beta_bath}"])
+        code = main(["oracle", path, f"--beta-bath={beta_bath}", "--random", "200", "--seed", "1"])
         captured = capsys.readouterr()
         assert code == 0 and captured.err == ""
         r = json.loads(captured.out)["results"]
         cold = float(beta_bath) > 0
         assert (r["can_cool"], r["can_heat"]) == (not cold, cold)
         assert r["agreement"] is True
+        assert r["random_trials"]["disagreements"] == 0
         assert r["max_energy_gain"] == pytest.approx(0.0 if cold else 1.3, abs=1e-12)
         assert r["max_energy_loss"] == pytest.approx(0.7 if cold else 0.0, abs=1e-12)
 
@@ -377,14 +379,25 @@ class TestOracle:
 
 
 class TestJC:
-    def test_short_run_csv(self, capsys, tmp_path):
+    @pytest.mark.parametrize("fock,steps", [(None, 100), (32, 300)])
+    def test_short_run_csv(self, capsys, tmp_path, fock, steps):
         out = tmp_path / "series.csv"
-        code, report = run_cli(capsys, "jc", "--steps", "100", "--out", str(out))
+        argv = ["jc", "--steps", str(steps), "--out", str(out)]
+        argv += [] if fock is None else ["--fock", str(fock)]
+        start = time.perf_counter()
+        code, report = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 60
         assert code == 0
-        assert report["results"]["fixed_point_residual"] < 1e-10
+        r = report["results"]
+        assert r["fixed_point_residual"] < 1e-10
+        assert r["samples"] == steps + 1
+        # the atom returns at tau, and the uniform superposition over d Fock
+        # levels starts with an l1 coherence of d - 1
+        assert r["atom_distance_at_tau"] <= 1e-9
+        assert abs(r["cavity_coherence_initial"] - ((fock or 3) - 1)) <= 1e-12
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "t,beta_c_A,beta_h_A,beta_c_R,beta_h_R,atom_distance,cavity_coherence"
-        assert len(lines) == 1 + 100 + 1  # header + steps + 1 samples
+        assert len(lines) == 1 + steps + 1  # header + steps + 1 samples
         for line in lines[1:]:
             values = [float(v) for v in line.split(",")]
             assert len(values) == 7
@@ -465,16 +478,20 @@ class TestQutritCatalyst:
         assert values[-1, 1] == pytest.approx(ROTATED_QUTRIT_BETA, abs=1e-9)
         assert np.all(np.diff(values[:, 1]) >= -1e-9)
 
-    def test_copies_table(self, capsys, tmp_path):
+    @pytest.mark.parametrize("beta,copies", [("1.0", 5), ("0.6", 100)])
+    def test_copies_table(self, capsys, tmp_path, beta, copies):
         out = tmp_path / "copies.csv"
+        start = time.perf_counter()
         code, report = run_cli(
             capsys,
-            "qutrit-catalyst", "--lambda", "0.5", "--beta", "1.0",
-            "--copies", "5", "--out", str(out),
+            "qutrit-catalyst", "--lambda", "0.5", "--beta", beta,
+            "--copies", str(copies), "--out", str(out),
         )
+        assert time.perf_counter() - start < 30
         assert code == 0
+        assert len(report["results"]["copies"]) == copies
         rows = np.loadtxt(out, delimiter=",", skiprows=1)
-        assert rows.shape == (5, 3)
+        assert rows.shape == (copies, 3)
         assert np.all(np.diff(rows[:, 1]) >= -1e-9)  # beta_c broadens
         assert np.all(np.diff(rows[:, 2]) <= 1e-9)  # beta_h broadens
 
@@ -645,11 +662,13 @@ class TestUsageAndEntryPoint:
             captured = capsys.readouterr()
             in_process.append((code, captured.out, captured.err))
         for argv, (code, out, err) in zip(runs, in_process):
+            # warnings are errors in the child too, and it writes nothing to stderr
             proc = subprocess.run(
-                [sys.executable, "-m", "efftemp", *argv], capture_output=True, text=True
+                [sys.executable, "-W", "error", "-m", "efftemp", *argv],
+                capture_output=True, text=True,
             )
             assert (code, out) == (proc.returncode, proc.stdout)
-            assert err == proc.stderr
+            assert err == proc.stderr == ""
         assert [code for code, _, _ in in_process] == [0, 0, 1, 0, 0, 0, 0, 0]
 
     def test_module_entry_point(self, tmp_path):
