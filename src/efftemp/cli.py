@@ -98,28 +98,67 @@ def load_system_file(path: str) -> tuple[QuantumSystem, str]:
     return system, _digest(raw)
 
 
-_NUMBERS = {int, float}
 _quote = json.encoder.encode_basestring_ascii
+
+
+def _columns(table: np.ndarray) -> list[np.ndarray] | None:
+    """The 1-D int and float columns of a table, or None if `table` is not one.
+
+    A table is a 2-D int or float array, or a 1-D structured array whose
+    fields are int and float scalars, such as the vts of `single`.
+    """
+    if table.dtype.names:
+        columns = [table[name] for name in table.dtype.names] if table.ndim == 1 else []
+    else:
+        columns = list(table.T) if table.ndim == 2 else []
+    if columns and all(c.ndim == 1 and c.dtype.kind in "iuf" for c in columns):
+        return columns
+    return None
+
+
+def _cells(columns: list[np.ndarray], float_format: str, sep: str) -> tuple[str, list]:
+    """(a row's %-format, the cells as Python numbers in row-major order).
+
+    The row format joins by `sep` one %d per int column and one
+    `float_format` per float column.
+    """
+    k = len(columns)
+    cells = [None] * (k * columns[0].size)
+    for c, column in enumerate(columns):
+        cells[c::k] = column.tolist()
+    return sep.join([float_format if c.dtype.kind == "f" else "%d" for c in columns]), cells
+
+
+def _encode_table(columns: list[np.ndarray], nl: str) -> str:
+    """A table as _encode writes the list of its rows, in one % over the whole text."""
+    rows = columns[0].size
+    if not rows:
+        return "[]"
+    inner = nl + "  "
+    deeper = inner + "  "
+    # %s, not %r: a non-finite cell becomes its JSON string, which must go
+    # out as it is, and str(float) is repr(float)
+    row, cells = _cells(columns, "%s", "," + deeper)
+    k = len(columns)
+    for c, column in enumerate(columns):
+        if column.dtype.kind == "f":
+            for r in np.flatnonzero(~np.isfinite(column)).tolist():
+                cells[r * k + c] = _encode(cells[r * k + c], nl)
+    row = "[" + deeper + row + inner + "]"
+    return ("[" + inner + ("," + inner).join([row] * rows) + nl + "]") % tuple(cells)
 
 
 def _encode(value, nl: str) -> str:
     """`value` as json.dumps(..., sort_keys=True, indent=2) writes it on a line
-    that starts at `nl`, with numpy values as Python ones, dict keys as str(key)
-    and non-finite floats as the strings "inf", "-inf" and "nan".  Each row of
-    finite Python ints and floats in a list, such as a table, is one join."""
+    that starts at `nl`, with numpy values as Python ones, dict keys as str(key),
+    non-finite floats as the strings "inf", "-inf" and "nan", and a table
+    (see `_columns`) as the list of its rows."""
     inner = nl + "  "
     if isinstance(value, dict):
         items = sorted({str(k): v for k, v in value.items()}.items())
         parts, brackets = [_quote(k) + ": " + _encode(v, inner) for k, v in items], "{}"
     elif isinstance(value, (list, tuple)):
-        parts, brackets, deeper = [], "[]", inner + "  "
-        sep = "," + deeper
-        for v in value:
-            numbers = isinstance(v, (list, tuple)) and set(map(type, v)) <= _NUMBERS
-            row = sep.join(map(repr, v)) if numbers and v else "n"
-            # "n" also marks a value that is not a row: no finite number's repr
-            # holds one, so a row with an inf or a nan is written token by token
-            parts.append(_encode(v, inner) if "n" in row else "[" + deeper + row + inner + "]")
+        parts, brackets = [_encode(v, inner) for v in value], "[]"
     elif isinstance(value, str):
         return _quote(value)
     elif isinstance(value, (bool, np.bool_)):
@@ -132,7 +171,8 @@ def _encode(value, nl: str) -> str:
     elif isinstance(value, (int, np.integer)):
         return int.__repr__(int(value))
     elif isinstance(value, np.ndarray):
-        return _encode(value.tolist(), nl)
+        columns = _columns(value)
+        return _encode(value.tolist(), nl) if columns is None else _encode_table(columns, nl)
     elif value is None:
         return "null"
     else:
@@ -145,19 +185,19 @@ def _emit(report: dict) -> None:
     sys.stdout.flush()  # a closed pipe must fail here, inside main's handler
 
 
-def _write_csv(path: str, header: tuple[str, ...], rows) -> None:
-    row_format = ",".join([CSV_FLOAT_FORMAT] * len(header))
-    lines = [",".join(header)]
-    lines += [row_format % tuple(row) for row in np.asarray(rows, dtype=float).tolist()]
+def _write_csv(path: str, header: tuple[str, ...], table: np.ndarray) -> None:
+    """Write a table (see `_columns`) under `header`: %d for int cells, %.12g for float ones."""
+    row, cells = _cells(_columns(table), CSV_FLOAT_FORMAT, ",")
+    rows = "".join([row + "\n"] * len(table))
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(",".join(header) + "\n" + rows % tuple(cells))
     except OSError as exc:
         raise ValidationError(f"cannot write {path}: {exc}")
 
 
 def _matrix_fields(m: np.ndarray) -> dict:
-    return {"re": m.real.tolist(), "im": m.imag.tolist()}
+    return {"re": m.real, "im": m.imag}
 
 
 def _kelvin(beta: float) -> float:
@@ -188,17 +228,18 @@ def cmd_single(args) -> tuple[dict, list, str]:
     system, digest = load_system_file(args.path)
     pair = temperatures.single_copy_effective(system)
     spectrum = temperatures.virtual_spectrum(system)
+    vts = np.rec.fromarrays((spectrum.low, spectrum.high, spectrum.beta), names="i,j,beta_ij")
     results = {
         "beta_c": pair.beta_c,
         "beta_h": pair.beta_h,
         "beta_star": thermal.t_star(system),
-        "vts": spectrum.entries,
+        "vts": vts,
     }
     warnings: list[str] = []
     if args.kelvin:
         _add_kelvin(results, warnings, ("beta_c", "beta_h", "beta_star"))
     if args.out:
-        _write_csv(args.out, ("i", "j", "beta_ij"), results["vts"])
+        _write_csv(args.out, vts.dtype.names, vts)
         results["csv"] = args.out
     return results, warnings, digest
 
@@ -318,9 +359,9 @@ def cmd_qutrit_catalyst(args) -> tuple[dict, list, str]:
 
     if args.copies is not None:
         system = QuantumSystem(energies=catalysis.QUTRIT_ENERGIES, rho=setup.rho_a)
-        pairs = temperatures.tensor_power_pairs(system, args.copies).tolist()
-        rows = [(float(n), beta_c, beta_h) for n, (beta_c, beta_h) in enumerate(pairs, 1)]
-        results = {"copies": [list(r) for r in rows]}
+        pairs = temperatures.tensor_power_pairs(system, args.copies)
+        rows = np.column_stack([np.arange(1.0, args.copies + 1), pairs])
+        results = {"copies": rows}
         if args.out:
             _write_csv(args.out, ("n", "beta_c", "beta_h"), rows)
             results["csv"] = args.out
@@ -338,7 +379,7 @@ def cmd_qutrit_catalyst(args) -> tuple[dict, list, str]:
 
     if args.sweep:
         rows = np.column_stack([setup.lam, run.temps.beta_c, run.temps.beta_h, residual])
-        results = {"sweep": rows.tolist(), "grid_points": SWEEP_GRID_POINTS}
+        results = {"sweep": rows, "grid_points": SWEEP_GRID_POINTS}
         if args.out:
             _write_csv(args.out, ("lambda", "beta_c", "beta_h", "catalyst_residual"), rows)
             results["csv"] = args.out

@@ -37,17 +37,21 @@ TENSOR_POWER_CAP = 10**6
 _GROUP_RTOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VirtualTempSpectrum:
-    """All pairwise inverse virtual temperatures of a state.
+    """All pairwise inverse virtual temperatures of a state, as three columns.
 
-    Entries are (i, j, beta_ij) with e_i < e_j, one per unordered pair of
-    levels with distinct energies; beta_ji = beta_ij.  Pairs whose two
-    populations both vanish are omitted, and a single vanishing population
-    is recorded as +inf (empty upper level) or -inf (empty lower level).
+    Entry k is the pair (low[k], high[k]) of levels with e_low < e_high and
+    its beta_ij = beta[k], one per unordered pair of levels with distinct
+    energies in row-major order; beta_ji = beta_ij.  `low` and `high` are
+    int64 arrays and `beta` a float64 array.  Pairs whose two populations
+    both vanish are omitted, and a single vanishing population is recorded
+    as +inf (empty upper level) or -inf (empty lower level).
     """
 
-    entries: tuple[tuple[int, int, float], ...]
+    low: np.ndarray
+    high: np.ndarray
+    beta: np.ndarray
 
 
 def _has_nan(beta) -> bool:
@@ -130,8 +134,7 @@ def virtual_spectrum(system: QuantumSystem) -> VirtualTempSpectrum:
     low, high, gap = _pair_table(system.energies)
     beta = _pair_betas(_clean_populations(system.populations), low, high, gap)
     kept = ~np.isnan(beta)
-    return VirtualTempSpectrum(
-        entries=tuple(zip(low[kept].tolist(), high[kept].tolist(), beta[kept].tolist())))
+    return VirtualTempSpectrum(low=low[kept], high=high[kept], beta=beta[kept])
 
 
 # byte budget of one chunk of rows in extremal_pairs, which holds at most

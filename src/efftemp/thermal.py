@@ -54,7 +54,8 @@ class QuantumSystem:
     spectrum: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self, rho):
-        e = check_energy_levels(self.energies)
+        # a copy: a later write to the caller's array must not reach the validated ladder
+        e = check_energy_levels(np.array(self.energies, dtype=float))
         if np.ndim(rho) != 2:  # one state, not a stack of them
             raise ValidationError(f"state must be square, got shape {np.shape(rho)}")
         rho, spectrum = linalg.checked_state(rho)

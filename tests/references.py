@@ -98,9 +98,10 @@ def build_cooling_protocol(system: QuantumSystem, beta_bath: float) -> CoolingPr
     if not math.isfinite(beta_bath):
         raise ValidationError("bath inverse temperature must be finite")
     spectrum = temperatures.virtual_spectrum(system)
-    if not spectrum.entries:
+    if not spectrum.beta.size:
         raise ValidationError("no level pair with distinct energies")
-    i, j, beta_max = max(spectrum.entries, key=lambda entry: entry[2])
+    k = int(np.argmax(spectrum.beta))  # the first of equal maxima, as max() picks
+    i, j, beta_max = int(spectrum.low[k]), int(spectrum.high[k]), float(spectrum.beta[k])
     gap = float(system.energies[j] - system.energies[i])
     p = temperatures._clean_populations(system.populations)
     g0, g1 = _logistic(beta_bath * gap), _logistic(-beta_bath * gap)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import diag_system
-from efftemp import catalysis, oracle, simplex, thermal
+from efftemp import catalysis, oracle, simplex, temperatures, thermal
 
 
 def _lp():
@@ -26,6 +26,8 @@ FACTORIES = {
     "CatalysisResult": lambda: catalysis.CatalysisResult(np.eye(2) / 2, 0.0),
     "TimeSeriesResult": lambda: catalysis.TimeSeriesResult(np.zeros((2, 7)), 0.0),
     "QutritCatalystSetup": lambda: catalysis.QutritCatalystSetup(lam=0.5, beta=0.0),
+    "VirtualTempSpectrum": lambda: temperatures.virtual_spectrum(
+        diag_system([0.0, 1.0], [0.6, 0.4])),
 }
 
 

@@ -200,7 +200,7 @@ class TestFixedPoint:
 
 def spectrum_betas(system) -> np.ndarray:
     """The virtual temperatures of a state's spectrum entries."""
-    return np.array([b for _, _, b in virtual_spectrum(system).entries])
+    return virtual_spectrum(system).beta
 
 
 class Marginals(NamedTuple):

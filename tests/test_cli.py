@@ -830,33 +830,38 @@ class TestFileFaultsAreReports:
         assert error == f"{path}: state must be square, got shape (2, 2, 2)"
 
 
-def str_format_csv(header, rows):
+def str_format_csv(header, table):
     """CSV text with each value formatted by str.format, one at a time."""
-    lines = [",".join(header)] + [",".join("{:.12g}".format(float(v)) for v in row) for row in rows]
+    lines = [",".join(header)]
+    lines += [",".join("{:.12g}".format(float(v)) for v in row) for row in table.tolist()]
     return ("\n".join(lines) + "\n").encode()
 
 
 class TestCsvBytes:
     def test_special_values(self, tmp_path):
-        rows = [(0.0, -0.0, math.inf), (-math.inf, math.nan, 5e-324),
-                (1e308, -1.2345678901234567e-7, 3), (2.2250738585072014e-308, 1 / 3, -7)]
+        table = np.rec.fromarrays([
+            np.array([0, 7, 4095, 7]),
+            np.array([0.0, -math.inf, 1e308, 2.2250738585072014e-308]),
+            np.array([-0.0, math.nan, -1.2345678901234567e-7, 1 / 3]),
+            np.array([math.inf, 5e-324, 3, -7]),
+        ], names="n,a,b,c")
         out = tmp_path / "special.csv"
-        cli._write_csv(str(out), ("a", "b", "c"), rows)
-        assert out.read_bytes() == str_format_csv(("a", "b", "c"), rows)
+        cli._write_csv(str(out), table.dtype.names, table)
+        assert out.read_bytes() == str_format_csv(table.dtype.names, table)
 
     @pytest.mark.parametrize("writer", list(CSV_WRITERS))
     def test_writer_bytes_match_per_value_formatting(self, capsys, tmp_path, monkeypatch, writer):
         tables = []
         write_csv = cli._write_csv
 
-        def recording_write_csv(path, header, rows):
-            tables.append((path, header, rows))
-            write_csv(path, header, rows)
+        def recording_write_csv(path, header, table):
+            tables.append((path, header, table))
+            write_csv(path, header, table)
 
         monkeypatch.setattr(cli, "_write_csv", recording_write_csv)
         out = tmp_path / "table.csv"
         assert main([*writer_argv(tmp_path, writer), "--out", str(out)]) == 0
         capsys.readouterr()
-        [(path, header, rows)] = tables
-        assert path == str(out) and len(rows) > 1
-        assert out.read_bytes() == str_format_csv(header, rows)
+        [(path, header, table)] = tables
+        assert path == str(out) and len(table) > 1
+        assert out.read_bytes() == str_format_csv(header, table)

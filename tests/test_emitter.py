@@ -3,7 +3,9 @@
 `reference_emit` is the former `cli._jsonable` followed by
 `json.dumps(..., sort_keys=True, indent=2)` and print's newline.
 `cli._emit` must write the same bytes for every value, and raise the same
-TypeError for a value JSON cannot hold.
+TypeError for a value JSON cannot hold.  A table, a 2-D array or a 1-D
+structured array such as the vts of `single`, reaches the reference as the
+list of its rows.
 """
 
 import json
@@ -12,7 +14,8 @@ import math
 import numpy as np
 import pytest
 
-from efftemp import cli
+from conftest import diag_system
+from efftemp import cli, temperatures
 
 
 def _jsonable(value):
@@ -28,7 +31,7 @@ def _jsonable(value):
         return v
     if isinstance(value, (np.integer, int)):
         return int(value)
-    if isinstance(value, np.ndarray):
+    if isinstance(value, np.ndarray):  # a structured array's rows are tuples
         return _jsonable(value.tolist())
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
@@ -100,8 +103,33 @@ def random_array(rng):
     return rng.normal(size=shape).astype(np.float32)
 
 
+def random_column(rng, rows):
+    """An int64, uint64 or float64 column; a float one mixes FLOATS into random values."""
+    kind = rng.integers(3)
+    if kind == 0:
+        return rng.integers(-(2**63), 2**63, size=rows, dtype=np.int64) // 10 ** rng.integers(19)
+    if kind == 1:
+        column = rng.integers(0, 2**64, size=rows, dtype=np.uint64)
+        return column // np.uint64(10 ** rng.integers(20))
+    column = rng.normal(size=rows) * 10.0 ** rng.integers(-300, 300, size=rows)
+    special = rng.integers(2, size=rows).astype(bool)
+    column[special] = rng.choice(FLOATS, size=special.sum())
+    return column
+
+
+def random_table(rng):
+    """0, 1 or a few rows of int and float columns: a structured array, or a
+    2-D array where every column has one dtype."""
+    rows = (0, 1, rng.integers(2, 7))[rng.integers(3)]
+    columns = [random_column(rng, rows) for _ in range(rng.integers(1, 5))]
+    if len({c.dtype for c in columns}) == 1 and rng.integers(2):
+        return np.column_stack(columns)
+    table = np.rec.fromarrays(columns, names=[f"c{k}" for k in range(len(columns))])
+    return table if rng.integers(2) else table.view(np.ndarray)
+
+
 def random_value(rng, depth=0):
-    kind = rng.integers(6) if depth < 4 else 0
+    kind = rng.integers(7) if depth < 4 else 0
     if kind == 0:
         return random_leaf(rng)
     if kind == 1:
@@ -113,6 +141,8 @@ def random_value(rng, depth=0):
     if kind == 4:
         items = [random_value(rng, depth + 1) for _ in range(rng.integers(0, 4))]
         return tuple(items) if rng.integers(3) == 0 else items
+    if kind == 6:
+        return random_table(rng)
     keys = [KEYS[k] for k in rng.choice(len(KEYS), size=rng.integers(0, 5), replace=False)]
     return {k: random_value(rng, depth + 1) for k in keys}
 
@@ -126,7 +156,21 @@ def test_seeded_values_match_the_reference(seed, capsys):
         assert emit(value, capsys) == reference_emit(value)
 
 
+def single_report(d):
+    """The results of `single` on d levels whose middle level is empty, so
+    that +inf and -inf entries appear, and whose two lowest levels are
+    degenerate, with its vts built as `cli.cmd_single` does."""
+    energies = np.concatenate([[0.0], np.linspace(0.0, 2.0, d - 1)])
+    populations = np.random.default_rng(d).uniform(0.5, 1.5, size=d) * np.exp(-energies)
+    populations[d // 2] = 0.0
+    populations /= populations.sum()
+    spectrum = temperatures.virtual_spectrum(diag_system(energies, populations))
+    vts = np.rec.fromarrays((spectrum.low, spectrum.high, spectrum.beta), names="i,j,beta_ij")
+    return {"beta_c": math.inf, "beta_h": -0.0, "beta_star": 0.25, "vts": vts}
+
+
 @pytest.mark.parametrize("value", [
+    single_report(256),
     {}, [], (), np.zeros((0, 3)), [[], []], {"rows": [[], [1, 2]]},
     [[1, 2.5], [3, INF], [NAN, -0.0], [True, 1], [np.float64(1.0), 2.0], [None, 1]],
     [[[1.0, -INF], [2.0, 3.0]]], [1, 2.0, -INF], [1, True, np.bool_(True), np.int64(5)],

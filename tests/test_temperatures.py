@@ -56,37 +56,41 @@ def brute_force_extremes(energies, populations, n):
     return max(betas), min(betas)
 
 
+def spectrum_entries(spectrum):
+    """The (i, j, beta_ij) rows of a spectrum's columns, as Python numbers."""
+    return list(zip(spectrum.low.tolist(), spectrum.high.tolist(), spectrum.beta.tolist()))
+
+
 class TestVirtualSpectrum:
     def test_gibbs_is_flat(self, rng):
         e = random_energies(rng, 4)
         beta = 1.7
         system = diag_system(e, gibbs_by_beta(e, beta).populations)
-        betas = [b for _, _, b in virtual_spectrum(system).entries]
-        assert_allclose(betas, beta, rtol=1e-10)
+        assert_allclose(virtual_spectrum(system).beta, beta, rtol=1e-10)
 
     def test_qubit_value(self):
         spectrum = virtual_spectrum(diag_system([0.0, 1.0], [0.8, 0.2]))
-        assert len(spectrum.entries) == 1
-        assert spectrum.entries[0][:2] == (0, 1)
-        assert spectrum.entries[0][2] == pytest.approx(np.log(4), rel=1e-12)
+        assert len(spectrum.beta) == 1
+        assert spectrum_entries(spectrum)[0][:2] == (0, 1)
+        assert spectrum.beta[0] == pytest.approx(np.log(4), rel=1e-12)
 
     def test_rotated_qutrit_state(self):
         spectrum = virtual_spectrum(diag_system([0.0, 1.0, 2.0], ROTATED_QUTRIT_DIAG))
-        by_pair = {(i, j): b for i, j, b in spectrum.entries}
+        by_pair = {(i, j): b for i, j, b in spectrum_entries(spectrum)}
         assert by_pair[(0, 1)] == pytest.approx(ROTATED_QUTRIT_BETA, abs=1e-12)
         assert by_pair[(1, 2)] == pytest.approx(-ROTATED_QUTRIT_BETA, abs=1e-12)
         assert by_pair[(0, 2)] == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_population_limits(self):
         spectrum = virtual_spectrum(diag_system([0.0, 1.0, 2.0], [0.0, 1.0, 0.0]))
-        by_pair = {(i, j): b for i, j, b in spectrum.entries}
+        by_pair = {(i, j): b for i, j, b in spectrum_entries(spectrum)}
         assert by_pair[(0, 1)] == -math.inf  # empty lower level
         assert by_pair[(1, 2)] == math.inf  # empty upper level
         assert (0, 2) not in by_pair  # both empty: omitted
 
     def test_degenerate_pairs_excluded(self):
         spectrum = virtual_spectrum(diag_system([0.0, 0.0, 1.0], [0.3, 0.3, 0.4]))
-        assert {(i, j) for i, j, _ in spectrum.entries} == {(0, 2), (1, 2)}
+        assert {(i, j) for i, j, _ in spectrum_entries(spectrum)} == {(0, 2), (1, 2)}
 
     def test_coherences_do_not_enter(self, rng):
         rho = np.diag([0.5, 0.3, 0.2]).astype(complex)
@@ -94,7 +98,8 @@ class TestVirtualSpectrum:
         system_coh = QuantumSystem(
             energies=np.array([0.0, 1.0, 2.0]), rho=inject_coherences(rng, rho)
         )
-        assert virtual_spectrum(system_plain).entries == virtual_spectrum(system_coh).entries
+        plain, coherent = virtual_spectrum(system_plain), virtual_spectrum(system_coh)
+        assert spectrum_entries(plain) == spectrum_entries(coherent)
 
 
 class TestSingleCopy:
@@ -256,9 +261,16 @@ def hex_entries(entries):
     return [(i, j, float(b).hex()) for i, j, b in entries]
 
 
+def hex_spectrum(spectrum):
+    """hex_entries of a spectrum's columns, which must be int64 and float64."""
+    assert spectrum.low.dtype == spectrum.high.dtype == np.int64
+    assert spectrum.beta.dtype == np.float64
+    return hex_entries(spectrum_entries(spectrum))
+
+
 def assert_within_four_ulps_of_math_log(energies, populations):
     """Finite entries within 4 ulps of the math.log loop; the rest identical."""
-    got = virtual_spectrum(diag_system(energies, populations)).entries
+    got = spectrum_entries(virtual_spectrum(diag_system(energies, populations)))
     want = reference_entries(energies, populations, log=math.log)
     assert [(i, j) for i, j, _ in got] == [(i, j) for i, j, _ in want]
     for (_, _, b), (_, _, w) in zip(got, want):
@@ -275,16 +287,15 @@ class TestSpectrumAgainstReference:
         energies = ladder_energies(rng, dim, ladder)
         for k in range(40 if dim < 16 else 8):
             p = population_row(rng, energies, KINDS[k % 4])
-            entries = virtual_spectrum(diag_system(energies, p)).entries
-            assert hex_entries(entries) == hex_entries(reference_entries(energies, p))
-            assert all(type(b) is float for _, _, b in entries)
+            spectrum = virtual_spectrum(diag_system(energies, p))
+            assert hex_spectrum(spectrum) == hex_entries(reference_entries(energies, p))
 
     @pytest.mark.parametrize("energies,populations", TestExtremalPairs.NEAR_TIES)
     def test_near_tie_rows(self, energies, populations):
         e = np.array([float.fromhex(x) for x in energies])
         p = np.array([float.fromhex(x) for x in populations])
-        entries = virtual_spectrum(diag_system(e, p)).entries
-        assert hex_entries(entries) == hex_entries(reference_entries(e, p))
+        spectrum = virtual_spectrum(diag_system(e, p))
+        assert hex_spectrum(spectrum) == hex_entries(reference_entries(e, p))
         assert_within_four_ulps_of_math_log(e, p)
 
     @pytest.mark.parametrize("ladder", ["distinct", "repeated", "wide"])
@@ -299,8 +310,8 @@ class TestSpectrumAgainstReference:
                                              [0.5, 1e-16, 0.5 - 1e-16, 0.0]])
     def test_empty_levels(self, populations):
         energies = np.array([0.0, 0.4, 1.0, 1.7])
-        entries = virtual_spectrum(diag_system(energies, populations)).entries
-        assert hex_entries(entries) == hex_entries(reference_entries(energies, populations))
+        spectrum = virtual_spectrum(diag_system(energies, populations))
+        assert hex_spectrum(spectrum) == hex_entries(reference_entries(energies, populations))
 
 
 def enumerated_groups(energies, log_pops, n):

@@ -381,6 +381,13 @@ class TestQuantumSystem:
             QuantumSystem(energies=[0.0, 1.0], rho=rho)
         assert str(error.value) == f"state must be square, got shape {rho.shape}"
 
+    def test_keeps_a_copy_of_the_energies(self):
+        e = np.array([0.0, 1.0])
+        system = QuantumSystem(e, np.diag([0.8, 0.2]).astype(complex))
+        e[1] = -5.0
+        assert system.energies is not e
+        assert system.energies.tolist() == [0.0, 1.0]
+
     @pytest.mark.parametrize("dim", [2, 5, 64])
     def test_entropy_reads_the_validation_spectrum(self, monkeypatch, dim):
         # pure, full-rank, and with an eigenvalue just above EIG_FLOOR
