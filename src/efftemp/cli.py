@@ -5,7 +5,8 @@ Input files are JSON with either of two state forms:
     {"energies": [...], "populations": [...]}
     {"energies": [...], "rho_re": [[...]], "rho_im": [[...]]}
 
-(`rho_im` may be omitted for real states).  Every report is printed as JSON in
+(`rho_im` may be omitted for real states); a file that gives both forms is
+rejected.  Every report is printed as JSON in
 the layout of json.dumps(..., sort_keys=True, indent=2): sorted keys, a 2-space
 indent, floats as their repr, strings with ASCII escapes, and non-finite floats
 as the strings "inf"/"-inf"/"nan" so the output stays strict JSON.  Exit codes:
@@ -75,12 +76,13 @@ def load_system_file(path: str) -> tuple[QuantumSystem, str]:
         raise ValidationError(f"{path} is not valid JSON: {exc}")
     if not isinstance(doc, dict) or "energies" not in doc:
         raise ValidationError(f"{path}: expected an object with an 'energies' field")
+    if "populations" in doc and ("rho_re" in doc or "rho_im" in doc):
+        raise ValidationError(f"{path}: give either 'populations' or 'rho_re', not both")
     energies = _floats(path, "energies", doc["energies"])
     if "populations" in doc:
-        p = _floats(path, "populations", doc["populations"])
-        if p.ndim != 1:
+        rho = _floats(path, "populations", doc["populations"])
+        if rho.ndim != 1:
             raise ValidationError(f"{path}: populations must be a flat list")
-        rho = np.diag(p).astype(complex)
     elif "rho_re" in doc:
         re = _floats(path, "rho_re", doc["rho_re"])
         im = _floats(path, "rho_im", doc.get("rho_im", np.zeros_like(re)))

@@ -3,7 +3,8 @@
 Operators and states are plain numpy arrays.  A density matrix is Hermitian
 with unit trace and nonnegative spectrum (within tolerance); a Hamiltonian is
 Hermitian with energies in units where hbar = k_B = 1.  Every matrix helper
-also maps a (..., d, d) stack, matrix by matrix.  All are pure functions on
+also maps a (..., d, d) stack, matrix by matrix; a diagonal state is checked
+as its populations vector, which never goes dense.  All are pure functions on
 immutable inputs, so the module is thread-safe.
 """
 
@@ -82,6 +83,38 @@ def checked_state(rho, name: str = "state") -> tuple[np.ndarray, np.ndarray]:
         raise ValidationError(
             f"{name} has negative eigenvalue {_first_failure(low, low >= EIG_FLOOR):.3e}")
     return arr, w
+
+
+def checked_populations(p) -> tuple[np.ndarray, np.ndarray]:
+    """checked_state of the diagonal state diag(p), without building it.
+
+    Returns a float copy of the real 1-d `p` and its spectrum, np.sort(p).
+    The checks and messages are the dense ones: dimension, finite entries,
+    the trace, then each entry, an eigenvalue of diag(p), at least EIG_FLOOR.
+    """
+    p = np.array(p, dtype=float)
+    d = p.size
+    if p.ndim != 1:
+        raise ValidationError(f"state populations must be 1-d, got shape {p.shape}")
+    if d == 0:
+        raise ValidationError("state must be square, got shape (0, 0)")
+    if d > MAX_DIM:
+        raise ValidationError(f"state dimension {d} exceeds the dense cap {MAX_DIM}")
+    if not np.isfinite(p).all():
+        raise ValidationError("state must be finite: it has a NaN or infinite entry")
+    # summed as complex, as the dense trace is: the pairwise sum groups the
+    # terms of a complex array otherwise than a real one's; entries near the
+    # float limit overflow it to inf, or to NaN where +inf meets -inf, which
+    # the check rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        tr = p.astype(complex).sum()
+    if not abs(tr - 1.0) <= TRACE_TOL:
+        raise ValidationError(
+            f"state trace {complex(tr):.12g} differs from 1 beyond {TRACE_TOL:.0e}")
+    low = p.min()
+    if not low >= EIG_FLOOR:
+        raise ValidationError(f"state has negative eigenvalue {low:.3e}")
+    return p, np.sort(p)
 
 
 def check_density_matrix(rho, name: str = "state") -> np.ndarray:

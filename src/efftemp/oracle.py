@@ -35,6 +35,7 @@ POLYTOPE_TOL = 1e-9
 # decides in one chunk, at the largest dimension; the chunk's other arrays
 # and temporaries take a few times this, whatever the number of systems
 TRIAL_CHUNK_BYTES = 1 << 20
+_GAIN_LOSS = np.arange(2)[:, None, None]  # the (2, 1, 1) index of the gain and loss rows
 
 
 def _checked_model(energies, populations, beta_bath):
@@ -158,17 +159,30 @@ class _LevelTables(NamedTuple):
     members: np.ndarray   # (2^d, d) the levels in each subset
     heaviest: np.ndarray  # (2, 2^d) each subset's lowest and highest level, 0 if empty
     lower: np.ndarray     # (d, d) the level pairs a < b
+    levels: np.ndarray    # (d,) 0, ..., d - 1
+    subsets: np.ndarray   # (2^d,) 0, ..., 2^d - 1
+    bits: np.ndarray      # (d,) each level's own subset, 1 << k
+    # (2, d + 1) at k = 0, ..., d the levels at or above k, which the gain's
+    # order climbs from the top, and the levels under k, which the loss's
+    # climbs from the ground
+    climbs: np.ndarray
 
 
 @functools.cache
 def _level_tables(d: int) -> _LevelTables:
     """The index tables of d levels, built on first use of each d."""
+    levels = np.arange(d)
     subsets = np.arange(1 << d)
-    members = ((subsets[:, None] >> np.arange(d)) & 1).astype(bool)
+    members = ((subsets[:, None] >> levels) & 1).astype(bool)
+    below = (1 << np.arange(d + 1)) - 1  # the subset of the levels under k = 0, ..., d
     return _LevelTables(
         members=members,
         heaviest=np.stack([members.argmax(axis=1), d - 1 - members[:, ::-1].argmax(axis=1)]),
         lower=np.triu(np.ones((d, d), dtype=bool), 1),
+        levels=levels,
+        subsets=subsets,
+        bits=1 << levels,
+        climbs=np.stack([below[-1] - below, below]),
     )
 
 
@@ -187,10 +201,10 @@ def _beta_order(p, rel, lower):
     both = occupied[..., :, None] & occupied[..., None, :]
     ahead = np.where(both, ahead, occupied[..., :, None] * 1.0 - occupied[..., None, :])
     before = (ahead > 0.0) | ((ahead == 0.0) & lower)
-    return np.argsort(before.sum(axis=-2), axis=-1, kind="stable")
+    return before.sum(axis=-2).argsort(axis=-1, kind="stable")
 
 
-def _curve_table(p, weight, order, beta, tables):
+def _curve_table(p, weight, order, beta, tables, rows):
     """p's thermo-majorization curve at the Gibbs weight of every subset of levels.
 
     table[s, T] is the curve of row s, whose segments are p's levels in
@@ -200,16 +214,15 @@ def _curve_table(p, weight, order, beta, tables):
     1.  A level whose relative weight underflows to 0 is then a zero-width
     segment that lies wholly below the point, and no zero width is ever a
     divisor.  Where T is a prefix of the beta-order the table holds the
-    cumulative population exactly.
+    cumulative population exactly.  `rows` is the (S, 1) row index.
     """
     S, d = p.shape
-    rows = np.arange(S)[:, None]
-    widths = weight[rows[:, :, None], np.arange(d)[:, None], order[:, None, :]]  # (S, scale, d)
+    widths = weight[rows[:, :, None], tables.levels[:, None], order[:, None, :]]  # (S, scale, d)
     corners = np.zeros((S, d, d + 1))
-    np.cumsum(widths, axis=2, out=corners[:, :, 1:])
+    widths.cumsum(axis=2, out=corners[:, :, 1:])
     heights = p[rows, order]
     climbed = np.zeros((S, d + 1))
-    np.cumsum(heights, axis=1, out=climbed[:, 1:])
+    heights.cumsum(axis=1, out=climbed[:, 1:])
     scale = tables.heaviest[(beta < 0.0).astype(np.intp)]  # (S, 2^d)
     x = np.where(tables.members, weight[rows, scale], 0.0).sum(axis=2)
     xs = corners[rows, scale]
@@ -217,10 +230,10 @@ def _curve_table(p, weight, order, beta, tables):
     m = (xs <= x[:, :, None]).sum(axis=2) - 1
     seg = np.minimum(m, d - 1)
     width = np.where(m < d, widths[rows, scale, seg], np.inf)
-    fraction = np.minimum((x - xs[rows, np.arange(x.shape[1]), m]) / width, 1.0)
+    fraction = np.minimum((x - xs[rows, tables.subsets, m]) / width, 1.0)
     table = climbed[rows, m] + heights[rows, seg] * fraction
     table[:, 0] = 0.0
-    table[rows, np.cumsum(1 << order, axis=1)] = climbed[:, 1:]
+    table[rows, tables.bits[order].cumsum(axis=1)] = climbed[:, 1:]
     return table
 
 
@@ -247,37 +260,33 @@ def thermomajorization_extremes(energies, populations, beta_bath):
     beta = np.asarray(beta_bath, dtype=float)
     S, d = p.shape
     tables = _level_tables(d)
+    rows = np.arange(S)[:, None]
     with np.errstate(over="ignore"):
         # rel[s, j, i] = -beta (e_i - e_j): the log Gibbs weight of level i
         # relative to level j, +/-inf where the product overflows
         rel = -(beta[:, None, None] * (e[:, None, :] - e[:, :, None]))
         weight = np.exp(rel)
     order = _beta_order(p, rel, tables.lower)
-    table = _curve_table(p, weight, order, beta, tables)
-    rows = np.arange(S)[:, None]
-    shifted = e - e[:, :1]
+    table = _curve_table(p, weight, order, beta, tables, rows)
     # q along an order is the curve's rise over each level's Gibbs weight:
     # the gain's order climbs from the top level down, the loss's from the
     # ground up, so level k rises from the levels above (below) it
-    below = (1 << np.arange(d + 1)) - 1  # the subset of the levels under k = 0, ..., d
-    q = np.stack([
-        -np.diff(table[:, below[-1] - below], axis=1),
-        np.diff(table[:, below], axis=1),
-    ])
+    climbed = table[:, tables.climbs]  # (S, 2, d + 1)
+    q = np.empty((2, S, d))
+    np.subtract(climbed[:, :, 1:], climbed[:, :, :-1], out=q.transpose(1, 0, 2))
+    np.negative(q[0], out=q[0])
     # the certificate: q's own curve may not rise above p's
     own = _beta_order(q, rel, tables.lower)
-    rise = np.cumsum(np.take_along_axis(q, own, axis=2), axis=2) - table[
-        rows, np.cumsum(1 << own, axis=2)
-    ]
+    rise = q[_GAIN_LOSS, rows, own].cumsum(axis=2) - table[rows, tables.bits[own].cumsum(axis=2)]
     residual = np.maximum(
         np.maximum(np.abs(q.sum(axis=2) - 1.0), -q.min(axis=2)),
         np.maximum(rise.max(axis=2), 0.0),
     )
-    if np.any(residual > POLYTOPE_TOL):
+    if (residual > POLYTOPE_TOL).any():
         raise linalg.SolverError(
             f"optimal vertex violates thermo-majorization by {float(residual.max()):.2e}"
         )
-    return ((q - p) * shifted).sum(axis=2), q, residual
+    return ((q - p) * (e - e[:, :1])).sum(axis=2), q, residual
 
 
 def _decided(e, p, value):

@@ -40,12 +40,14 @@ def check_energy_levels(energies) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class QuantumSystem:
-    """A Hamiltonian spectrum paired with a density matrix.
+    """A Hamiltonian spectrum paired with a state.
 
     `energies` are the Hamiltonian eigenvalues in ascending order, and `rho`
-    is expressed in the same energy eigenbasis.  `rho` is validated but not
-    kept: the system holds its diagonal, `populations`, and `spectrum`, the
-    eigenvalues of `rho` that its validation computed.
+    is in the same energy eigenbasis: a (d, d) density matrix, or a (d,)
+    real vector, the populations of the diagonal state, which never goes dense.
+    `rho` is validated but not kept: the system holds its diagonal,
+    `populations`, and `spectrum`, the eigenvalues of `rho` that its
+    validation computed (np.sort of a vector).
     """
 
     energies: np.ndarray
@@ -56,13 +58,18 @@ class QuantumSystem:
     def __post_init__(self, rho):
         # a copy: a later write to the caller's array must not reach the validated ladder
         e = check_energy_levels(np.array(self.energies, dtype=float))
-        if np.ndim(rho) != 2:  # one state, not a stack of them
+        ndim = np.ndim(rho)
+        if ndim == 1 and not np.iscomplexobj(rho):
+            p, spectrum = linalg.checked_populations(rho)
+        elif ndim == 2:
+            rho, spectrum = linalg.checked_state(rho)
+            p = np.diag(rho).real.copy()  # p_i = <e_i| rho |e_i>
+        else:  # one state, not a stack of them
             raise ValidationError(f"state must be square, got shape {np.shape(rho)}")
-        rho, spectrum = linalg.checked_state(rho)
-        if rho.shape[0] != e.size:
-            raise ValidationError(f"state dimension {rho.shape[0]} != {e.size} energy levels")
+        if p.size != e.size:
+            raise ValidationError(f"state dimension {p.size} != {e.size} energy levels")
         object.__setattr__(self, "energies", e)
-        object.__setattr__(self, "populations", np.diag(rho).real.copy())  # p_i = <e_i| rho |e_i>
+        object.__setattr__(self, "populations", p)
         object.__setattr__(self, "spectrum", spectrum)
         if abs(self.populations.sum() - 1.0) > 1e-10:
             raise ValidationError("populations do not sum to 1 within 1e-10")

@@ -820,14 +820,38 @@ class TestFileFaultsAreReports:
         path.write_bytes(raw)
         assert re.search(found, one_failed_report(capsys, ["single", str(path)]))
 
+    # each fault of a state file with the exact message, after "<path>: "
+    @pytest.mark.parametrize("doc,message", [
+        ({"energies": [0, 1], "rho_re": [[[0.5, 0], [0, 0.5]]] * 2},
+         "state must be square, got shape (2, 2, 2)"),
+        ({"energies": [0, 1], "rho_re": [0.5, 0.5]}, "state must be square, got shape (2,)"),
+        ({"energies": [0, 1, 2], "populations": [0.5, 0.5]},
+         "state dimension 2 != 3 energy levels"),
+        ({"energies": [0, 1, 2], "populations": [1 / 5000] * 5000},
+         "state dimension 5000 exceeds the dense cap 4096"),
+        ({"energies": [0, 1], "populations": [1.1, -0.1]},
+         "state has negative eigenvalue -1.000e-01"),
+        ({"energies": [0, 1], "populations": [0.5, 0.4]},
+         "state trace 0.9+0j differs from 1 beyond 1e-10"),
+        ({"energies": [0, 1], "populations": [[0.5, 0.5]]}, "populations must be a flat list"),
+        ({"energies": [0, 1], "populations": [0.5, 0.5], "rho_re": [[1, 0], [0, 0]]},
+         "give either 'populations' or 'rho_re', not both"),
+        ({"energies": [0, 1], "populations": [0.5, 0.5], "rho_im": [[0, 0.1], [-0.1, 0]]},
+         "give either 'populations' or 'rho_re', not both"),
+    ], ids=["stack", "flat-rho_re", "too-few", "over-cap", "negative", "unnormalized", "nested",
+            "both-forms", "populations-and-rho_im"])
     @pytest.mark.parametrize("command", [
         ["single"], ["oracle", "--beta-bath", "0.5"], ["asymptotic", "--delta", "0.1"],
     ])
-    def test_a_stack_of_states_is_not_a_state(self, capsys, tmp_path, command):
-        doc = {"energies": [0, 1], "rho_re": [[[0.5, 0], [0, 0.5]]] * 2}
-        path = write_json(tmp_path / "stack.json", doc)
+    def test_state_faults_have_their_exact_message(self, capsys, tmp_path, command, doc, message):
+        path = write_json(tmp_path / "state.json", doc)
         error = one_failed_report(capsys, [command[0], path, *command[1:]])
-        assert error == f"{path}: state must be square, got shape (2, 2, 2)"
+        assert error == f"{path}: {message}"
+
+    def test_a_flat_rho_re_reports_an_energy_fault_first(self, capsys, tmp_path):
+        path = write_json(tmp_path / "state.json", {"energies": [1, 0], "rho_re": [0.5, 0.5]})
+        error = one_failed_report(capsys, ["single", path])
+        assert error == f"{path}: energies must be sorted in ascending order"
 
 
 def str_format_csv(header, table):
