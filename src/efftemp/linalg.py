@@ -69,8 +69,9 @@ def checked_state(rho, name: str = "state") -> tuple[np.ndarray, np.ndarray]:
     The spectra of a (..., d, d) stack come as a (..., d) array.
     """
     # entries near the float limit overflow the Hermiticity deviation or the
-    # trace to inf, which the checks reject with their usual messages
-    with np.errstate(over="ignore"):
+    # trace to inf, or the trace to NaN where +inf meets -inf, which the
+    # checks reject with their usual messages
+    with np.errstate(over="ignore", invalid="ignore"):
         arr = check_hermitian(rho, STATE_HERMITIAN_TOL, name)
         tr = arr.trace(axis1=-2, axis2=-1)
     ok = abs(tr - 1.0) <= TRACE_TOL

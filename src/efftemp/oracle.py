@@ -18,7 +18,6 @@ virtual-temperature predictions.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -26,7 +25,7 @@ import numpy as np
 
 from . import linalg, simplex, temperatures
 from .linalg import ValidationError
-from .thermal import QuantumSystem, _gibbs_populations, check_energy_levels
+from .thermal import QuantumSystem, _gibbs_populations
 
 ORACLE_DIM_CAP = 6
 SIGN_MARGIN = 1e-9       # numerical margin realizing strict heat-sign inequalities
@@ -38,28 +37,22 @@ TRIAL_CHUNK_BYTES = 1 << 20
 _GAIN_LOSS = np.arange(2)[:, None, None]  # the (2, 1, 1) index of the gain and loss rows
 
 
-def _checked_model(energies, populations, beta_bath):
-    """Validated energies and populations, clamped at 0, of one oracle model."""
-    p = np.asarray(populations, dtype=float)
-    e = check_energy_levels(energies)
-    d = e.size
-    if d > ORACLE_DIM_CAP:
-        raise ValidationError(f"oracle dimension cap is {ORACLE_DIM_CAP}, got {d}")
-    if p.ndim != 1 or p.size != d:
-        raise ValidationError("populations must match the energy ladder")
-    if not (p.min() >= -1e-12 and abs(p.sum() - 1.0) <= 1e-10):  # NaN fails
-        raise ValidationError("populations must be a probability vector (1e-10)")
-    if not math.isfinite(beta_bath):
+def _check_scope(dim: int, beta_bath) -> None:
+    """What the oracle checks beyond QuantumSystem: its dimension cap, finite baths."""
+    if dim > ORACLE_DIM_CAP:
+        raise ValidationError(f"oracle dimension cap is {ORACLE_DIM_CAP}, got {dim}")
+    if not np.isfinite(beta_bath).all():
         raise ValidationError("bath inverse temperature must be finite")
-    return e, np.maximum(p, 0.0)
 
 
 @dataclass(frozen=True, eq=False)
 class GibbsStochasticLP:
     """Energy-change optimization over {G >= 0, 1^T G = 1^T, G g = g}.
 
-    Validated once on construction, which also builds the Gibbs weights g
-    and the LP data in the layout G[i, j] -> x[i*d + j]: rows j < d are the
+    On construction (populations, energies) are validated as the QuantumSystem
+    they make and by `heat_sign_oracle`'s cap and bath checks, entries in
+    [EIG_FLOOR, 0) are clamped to 0, and the Gibbs weights g and the LP data
+    are built in the layout G[i, j] -> x[i*d + j]: rows j < d are the
     column sums, rows d + i the fixed-vector condition (one row is
     redundant, which the solver tolerates), and cost[i*d + j] = e_i p_j.
     """
@@ -73,8 +66,9 @@ class GibbsStochasticLP:
     cost: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        e, p = _checked_model(self.energies, self.populations, self.beta_bath)
-        d = e.size
+        system = QuantumSystem(self.energies, self.populations)
+        e, p, d = system.energies, np.maximum(system.populations, 0.0), system.dim
+        _check_scope(d, self.beta_bath)
         g = _gibbs_populations(e, float(self.beta_bath))
         a_eq = np.zeros((2 * d, d, d))  # a_eq[row, i, j] multiplies G[i, j]
         k = np.arange(d)
@@ -320,14 +314,14 @@ def heat_sign_oracle(system: QuantumSystem, beta_bath: float) -> HeatVerdict:
     can gain energy under a Gibbs-stochastic map; can_heat symmetrically.
     Strict inequalities are realized with a 1e-9 margin, since the
     vertices are exact up to float noise, except for the flows into an
-    exactly empty level that `_decided` counts however small.  The model is
-    validated once, and the two optima that decide the verdicts are
-    returned with them.
+    exactly empty level that `_decided` counts however small.  The system is
+    taken as validated, and populations in [EIG_FLOOR, 0) are clamped to 0.
+    The two optima that decide the verdicts are returned with them.
     """
-    e, p = _checked_model(system.energies, system.populations, beta_bath)
-    value, vertex, residual = thermomajorization_extremes(
-        e[None], p[None], np.array([float(beta_bath)])
-    )
+    beta = np.array([float(beta_bath)])
+    _check_scope(system.dim, beta)
+    e, p = system.energies, np.maximum(system.populations, 0.0)
+    value, vertex, residual = thermomajorization_extremes(e[None], p[None], beta)
     can_cool, can_heat = _decided(e[None], p[None], value)
     gain, loss = (
         HeatOptimum(value=float(value[k, 0]), vertex=vertex[k, 0], residual=float(residual[k, 0]))
@@ -400,11 +394,10 @@ def equivalence_trials(
             group = [draw for draw in drawn if draw[0].size == d]
             if not group or not baths_per_system:
                 continue
-            if d > ORACLE_DIM_CAP:
-                raise ValidationError(f"oracle dimension cap is {ORACLE_DIM_CAP}, got {d}")
             ladders, rows, baths = (np.array(column) for column in zip(*group))
             e, p = ladders.repeat(baths_per_system, axis=0), rows.repeat(baths_per_system, axis=0)
             beta = baths.ravel()
+            _check_scope(d, beta)
             value, _, certificate = thermomajorization_extremes(e, p, beta)
             residual = max(residual, float(certificate.max()))
             can_cool, can_heat = _decided(e, p, value)

@@ -71,8 +71,6 @@ class QuantumSystem:
         object.__setattr__(self, "energies", e)
         object.__setattr__(self, "populations", p)
         object.__setattr__(self, "spectrum", spectrum)
-        if abs(self.populations.sum() - 1.0) > 1e-10:
-            raise ValidationError("populations do not sum to 1 within 1e-10")
 
     @property
     def dim(self) -> int:

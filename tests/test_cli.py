@@ -88,6 +88,17 @@ class TestSingle:
         assert code == 1 and report["status"] == 1
         assert "error" in report
 
+    def test_a_sum_within_the_trace_bound_is_accepted(self, capsys, tmp_path):
+        # the entries sum to 1 within TRACE_TOL; a second sum of the real
+        # vector, in another order, used to reject them
+        populations = [0.003435999999999999, 0.028320999999999992, 0.006352999999999998,
+                       0.09389699999999997, 0.16265499999999997, 0.13857799999999998,
+                       0.008078999999999998, 0.013938999999999997, 0.5447420001]
+        path = write_json(tmp_path / "nine.json",
+                          {"energies": list(range(9)), "populations": populations})
+        code, report = run_cli(capsys, "single", path)
+        assert code == 0 and report["status"] == 0
+
     def test_malformed_json_exits_1(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -367,6 +378,17 @@ class TestOracle:
         assert r["agreement"] is True
         if beta_bath == "25":
             assert r["max_energy_gain"] == pytest.approx(0.5 * math.exp(-25.0), rel=1e-6)
+
+    def test_a_population_single_accepts_is_one_the_oracle_accepts(self, capsys, tmp_path):
+        # -5e-11 lies within EIG_FLOOR; the oracle clamps it to 0
+        path = write_json(tmp_path / "floor.json",
+                          {"energies": [0, 1], "populations": [1.00000000005, -5e-11]})
+        code, report = run_cli(capsys, "single", path)
+        assert code == 0
+        code, report = run_cli(capsys, "oracle", path, "--beta-bath", "1")
+        assert code == 0 and report["status"] == 0
+        assert report["results"]["agreement"] is True
+        assert report["results"]["can_cool"] is True
 
     def test_dimension_cap_exits_1(self, capsys, tmp_path):
         path = write_json(
@@ -749,12 +771,15 @@ class TestExtremeMagnitudesAreQuiet:
          "state trace inf+0j differs from 1"),
         (["single"], {"energies": [0, 1], "rho_re": [[0.5, 1e308], [-1e308, 0.5]]}, 1,
          "state is not Hermitian: max deviation inf"),
+        # +1e308 and -1e308 overflow the trace's partial sums to +inf and -inf
+        (["single"], {"energies": list(range(16)),
+                      "rho_re": np.diag([1e308, -1e308] * 8).tolist()}, 1, "state trace nan"),
         # 1j * inf would be a NaN real part, with a warning
         (["single"], {"energies": [0, 1], "rho_re": [[0.6, 0.2], [0.2, 0.4]],
                       "rho_im": [[0, math.inf], [-0.1, 0]]}, 1, "state must be finite"),
     ], ids=["single-span", "asymptotic-span", "variance-inf", "variance-zero-weight",
             "span-3e6", "negative-energies", "trace-overflow", "hermitian-overflow",
-            "rho-im-inf"])
+            "trace-nan", "rho-im-inf"])
     def test_one_strict_report_and_nothing_on_stderr(self, capsys, tmp_path, argv, doc,
                                                      status, found):
         path = write_json(tmp_path / "extreme.json", doc)

@@ -17,7 +17,7 @@ from efftemp.oracle import (
 )
 from references import build_cooling_protocol, simulated_protocol_heat
 from efftemp.temperatures import EffectiveTempPair, single_copy_effective
-from efftemp.thermal import gibbs_by_beta, gibbs_populations
+from efftemp.thermal import QuantumSystem, gibbs_by_beta, gibbs_populations
 
 ROTATED_QUTRIT_DIAG = np.array([4 + np.sqrt(2), 4 - 2 * np.sqrt(2), 4 + np.sqrt(2)]) / 12
 QUBIT = diag_system([0.0, 1.0], [0.8, 0.2])
@@ -383,6 +383,13 @@ class TestThermomajorizationExtremes:
         # a population of -1e-13, clamped to 0, is an empty level
         clamped = heat_sign_oracle(diag_system([0.0, 1.0, 2.0], [0.5 + 1e-13, 0.5, -1e-13]), 30.0)
         assert clamped.can_cool
+        # -5e-11 lies within EIG_FLOOR, which the system accepts and the
+        # oracle clamps to 0 alike
+        floored = diag_system([0.0, 1.0], [1.00000000005, -5e-11])
+        clamped = heat_sign_oracle(floored, 1.0)
+        assert clamped.can_cool
+        predicted = oracle.predicted_verdicts(single_copy_effective(floored), 1.0)
+        assert (clamped.can_cool, clamped.can_heat) == predicted
         # level 2 is empty beside level 1 at the same energy: no energy moves
         degenerate = heat_sign_oracle(diag_system([0.0, 1.0, 1.0], [0.0, 1.0, 0.0]), 30.0)
         assert (degenerate.can_cool, degenerate.can_heat) == (False, True)
@@ -749,3 +756,39 @@ class TestGibbsStochasticLPValidation:
     def test_rejects_infinite_bath(self):
         with pytest.raises(ValidationError):
             GibbsStochasticLP(np.array([0.5, 0.5]), np.array([0.0, 1.0]), math.inf)
+
+
+def validation_error(build):
+    """The message of the ValidationError that build() raises, or None."""
+    try:
+        build()
+    except ValidationError as error:
+        return str(error)
+    return None
+
+
+class TestOneAcceptanceRule:
+    @pytest.mark.parametrize("energies,populations,error,system_accepts", [
+        ([0.0, 1.0, 2.0], [0.5 + 1e-10, 0.5, -1e-10], None, True),
+        ([0.0, 1.0, 2.0], [0.5 + 1.1e-10, 0.5, -1.1e-10],
+         "state has negative eigenvalue -1.100e-10", False),
+        ([0.0, 1.0], [0.5, 0.5 + 2e-10],
+         "state trace 1.0000000002+0j differs from 1 beyond 1e-10", False),
+        ([0.0, 1.0], [math.nan, 1.0], "state must be finite: it has a NaN or infinite entry",
+         False),
+        (np.arange(7.0), np.ones(7) / 7, "oracle dimension cap is 6, got 7", True),
+    ], ids=["eig-floor", "below-eig-floor", "trace-off", "nan", "over-cap"])
+    def test_the_system_the_oracle_and_the_lp_accept_alike(self, energies, populations, error,
+                                                            system_accepts):
+        vector = np.array(populations)
+        assert validation_error(lambda: QuantumSystem(energies, vector)) == (
+            None if system_accepts else error)
+        verdict = validation_error(lambda: heat_sign_oracle(QuantumSystem(energies, vector), 1.0))
+        lp = validation_error(lambda: GibbsStochasticLP(vector, np.array(energies), 1.0))
+        assert verdict == lp == error
+        if error is None:
+            # the two accepted models are the same clamped populations
+            lp = GibbsStochasticLP(vector, np.array(energies), 1.0)
+            gain = heat_sign_oracle(QuantumSystem(energies, vector), 1.0).gain.value
+            assert lp.populations.min() == 0.0
+            assert max_energy_gain(lp).value == pytest.approx(gain, abs=1e-9)
