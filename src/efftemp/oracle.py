@@ -31,10 +31,10 @@ ORACLE_DIM_CAP = 6
 SIGN_MARGIN = 1e-9       # numerical margin realizing strict heat-sign inequalities
 POLYTOPE_TOL = 1e-9
 # bytes of one (S, 2^d, d) subset array over the systems `equivalence_trials`
-# decides in one chunk, at the largest dimension; the chunk's other arrays
-# and temporaries take a few times this, whatever the number of systems
+# decides in one chunk, at the largest dimension; the certificate's
+# (2, S, d, 2^d) array takes twice this, and the chunk's other arrays and
+# temporaries a few times, whatever the number of systems
 TRIAL_CHUNK_BYTES = 1 << 20
-_GAIN_LOSS = np.arange(2)[:, None, None]  # the (2, 1, 1) index of the gain and loss rows
 
 
 def _check_scope(dim: int, beta_bath) -> None:
@@ -105,7 +105,9 @@ class HeatOptimum:
 
     `vertex` is the optimal q, and `residual` its certificate: the largest
     of |sum q - 1|, the most negative entry of q, and the height by which
-    q's thermo-majorization curve rises above p's, checked to be <= 1e-9.
+    q's thermo-majorization curve rises above p's, read as the most that
+    q's population on any subset of levels exceeds p's curve at the
+    subset's Gibbs weight, checked to be <= 1e-9.
     """
 
     value: float
@@ -151,6 +153,7 @@ class _LevelTables(NamedTuple):
     """Index tables over d levels; a subset of levels is a bitmask T < 2^d."""
 
     members: np.ndarray   # (2^d, d) the levels in each subset
+    holders: np.ndarray   # (d, 2^d) the subsets holding each level, members transposed
     heaviest: np.ndarray  # (2, 2^d) each subset's lowest and highest level, 0 if empty
     lower: np.ndarray     # (d, d) the level pairs a < b
     levels: np.ndarray    # (d,) 0, ..., d - 1
@@ -171,6 +174,7 @@ def _level_tables(d: int) -> _LevelTables:
     below = (1 << np.arange(d + 1)) - 1  # the subset of the levels under k = 0, ..., d
     return _LevelTables(
         members=members,
+        holders=np.ascontiguousarray(members.T),
         heaviest=np.stack([members.argmax(axis=1), d - 1 - members[:, ::-1].argmax(axis=1)]),
         lower=np.triu(np.ones((d, d), dtype=bool), 1),
         levels=levels,
@@ -242,7 +246,9 @@ def thermomajorization_extremes(energies, populations, beta_bath):
     inequality the gain is therefore the vertex whose order climbs the
     levels from the top, d - 1, ..., 0, and the loss the one that climbs
     from the ground, 0, ..., d - 1; the curve is tabulated over all 2^d
-    subsets because the certificate reads it at each vertex's own
+    subsets because the certificate reads it at every one: q is
+    thermo-majorized by p iff no subset holds more of q than p's curve at
+    the subset's Gibbs weight, which exact arithmetic only needs at q's own
     beta-order prefixes.  Returns (value (2, S), vertex (2, S, d),
     residual (2, S)): row 0 of each is the gain, max e . (q - p), and row 1
     the loss, the minimum, each with its vertex q and the certificate
@@ -269,12 +275,11 @@ def thermomajorization_extremes(energies, populations, beta_bath):
     q = np.empty((2, S, d))
     np.subtract(climbed[:, :, 1:], climbed[:, :, :-1], out=q.transpose(1, 0, 2))
     np.negative(q[0], out=q[0])
-    # the certificate: q's own curve may not rise above p's
-    own = _beta_order(q, rel, tables.lower)
-    rise = q[_GAIN_LOSS, rows, own].cumsum(axis=2) - table[rows, tables.bits[own].cumsum(axis=2)]
+    # the certificate: q's population on no subset of levels may exceed p's
+    # curve at the subset's Gibbs weight; the empty subset's 0 bounds it below
+    rise = np.where(tables.holders, q[..., None], 0.0).sum(axis=2) - table
     residual = np.maximum(
-        np.maximum(np.abs(q.sum(axis=2) - 1.0), -q.min(axis=2)),
-        np.maximum(rise.max(axis=2), 0.0),
+        np.maximum(np.abs(q.sum(axis=2) - 1.0), -q.min(axis=2)), rise.max(axis=2)
     )
     if (residual > POLYTOPE_TOL).any():
         raise linalg.SolverError(
@@ -294,16 +299,17 @@ def _decided(e, p, value):
     raises the energy when e_i < e_j and lowers it when e_i > e_j, however
     far below the margin (or below the smallest float) that share lies.
     Such a pair is one the closed form gives an infinite virtual
-    temperature.
+    temperature.  Rounded subtraction is monotone, so a pair's gap exceeds
+    `linalg.energy_equal_tol` somewhere iff the widest one does: the
+    highest empty level less the lowest occupied one for a flow up, and
+    the mirror for a flow down.
     """
-    low, high, gap = temperatures._pair_table(e)
-    distinct = ~np.isnan(gap)
-    empty = p == 0.0
-    occupied = p > temperatures.ZERO_POPULATION
-    raises = distinct & occupied[:, low] & empty[:, high]
-    lowers = distinct & empty[:, low] & occupied[:, high]
-    can_cool = (value[0] > SIGN_MARGIN) | raises.any(axis=1)
-    can_heat = (value[1] < -SIGN_MARGIN) | lowers.any(axis=1)
+    ends = np.stack([p == 0.0, p > temperatures.ZERO_POPULATION])  # empty, occupied
+    top = np.where(ends, e, -np.inf).max(axis=2)
+    bottom = np.where(ends, e, np.inf).min(axis=2)
+    tol = linalg.energy_equal_tol(e)
+    can_cool = (value[0] > SIGN_MARGIN) | (top[0] - bottom[1] > tol)
+    can_heat = (value[1] < -SIGN_MARGIN) | (top[1] - bottom[0] > tol)
     return can_cool, can_heat
 
 
@@ -371,9 +377,11 @@ def equivalence_trials(
 
     The verdicts are those of `heat_sign_oracle`, bit for bit, but decided
     in stacks: systems are drawn in chunks of about TRIAL_CHUNK_BYTES of
-    subset arrays, and each dimension of a chunk is one
+    (rows, 2^d, d) subset arrays, the certificate's array taking twice
+    that, and each dimension of a chunk is one
     `thermomajorization_extremes` call over all its baths, predicted by one
-    `extremal_pairs` call over its ladders.
+    `extremal_pairs` call over its ladders.  The draws are those of one
+    system at a time: the same generator calls in the same order.
     """
     rng = np.random.default_rng(seed)
     d_max = max(dims)
@@ -382,13 +390,15 @@ def equivalence_trials(
     disagreements = 0
     cases = 0
     residual = 0.0
+    spread = {d: 0.05 * np.arange(d) for d in dims}
+    flat = {d: np.ones(d) for d in dims}
     for start in range(0, n_systems, chunk):
         drawn = []
         for k in range(start, min(start + chunk, n_systems)):
             d = dims[k % len(dims)]
             # full rank, with well-separated ascending energy levels
-            energies = np.sort(rng.uniform(0.0, 2.0, d)) + 0.05 * np.arange(d)
-            populations = rng.dirichlet(np.ones(d))
+            energies = np.sort(rng.uniform(0.0, 2.0, d)) + spread[d]
+            populations = rng.dirichlet(flat[d])
             drawn.append((energies, populations, rng.uniform(-3.0, 3.0, baths_per_system)))
         for d in dict.fromkeys(dims):
             group = [draw for draw in drawn if draw[0].size == d]

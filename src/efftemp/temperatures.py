@@ -20,6 +20,7 @@ cold value drops below the hot one (the usable temperature window shrinks).
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -94,10 +95,14 @@ def _clean_populations(p: np.ndarray) -> np.ndarray:
     return np.where(p <= ZERO_POPULATION, 0.0, p)
 
 
+@functools.cache
 def _upper_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """(i, j) index arrays of the pairs i < j in row-major order."""
+    """(i, j) read-only index arrays of the pairs i < j in row-major order, built once per d."""
     levels = np.arange(d)
-    return np.nonzero(levels[:, None] < levels)
+    pairs = np.nonzero(levels[:, None] < levels)
+    for index in pairs:
+        index.flags.writeable = False
+    return pairs
 
 
 def _pair_table(e: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -159,13 +164,13 @@ def extremal_pairs(energies: np.ndarray, populations: np.ndarray) -> np.ndarray:
     e = np.asarray(energies, dtype=float)
     p = _clean_populations(np.asarray(populations, dtype=float))
     low, high, gap = _pair_table(e)
-    # a shared ladder's gaps become a stride-0 view, not an (S, pairs) array
-    gap = np.broadcast_to(gap, (p.shape[0], low.size))
+    # a shared ladder's (pairs,) gaps broadcast over the rows, never copied
+    shared = gap.ndim == 1
     out = np.empty((p.shape[0], 2))
     per_chunk = max(1, PAIR_CHUNK_BYTES // (3 * 8 * max(1, low.size)))
     for start in range(0, p.shape[0], per_chunk):
         stop = start + per_chunk
-        beta = _pair_betas(p[start:stop], low, high, gap[start:stop])
+        beta = _pair_betas(p[start:stop], low, high, gap if shared else gap[start:stop])
         out[start:stop, 0] = np.fmax.reduce(beta, axis=1, initial=np.nan)
         out[start:stop, 1] = np.fmin.reduce(beta, axis=1, initial=np.nan)
     # a row without a pair of distinct energies, d = 1 included, is all NaN

@@ -8,7 +8,9 @@ excitation operator checks that the Hamiltonian conserves excitations;
 `von_neumann_entropy` the entropy of one state from its own validation,
 which `QuantumSystem.entropy` reads without a second eigvalsh;
 `bisect_gibbs_by_energy` is the bisection that the Newton inversion
-`thermal.gibbs_by_energy` replaced.
+`thermal.gibbs_by_energy` replaced, and `prefix_certificate_extremes` the
+heat-sign kernel as it certified each vertex at its own beta-order
+prefixes, before it read every subset of levels.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from efftemp import linalg, temperatures
+from efftemp import linalg, oracle, temperatures
 from efftemp.catalysis import JCConfig
 from efftemp.linalg import BracketError, SolverError, ValidationError
 from efftemp.thermal import (
@@ -227,3 +229,38 @@ def bisect_gibbs_by_energy(energies, target_energy: float) -> GibbsSolveResult:
             f"bisection stalled with energy residual {residual:.3e} at beta={beta:.12g}"
         )
     return result
+
+
+def prefix_certificate_extremes(energies, populations, beta_bath):
+    """`oracle.thermomajorization_extremes` with its former certificate.
+
+    The same (value, vertex, residual) stacks, the vertices climbed the same
+    way, but each residual's curve term is read only where q's own
+    curve has its corners: q is put in its own beta-order, and its
+    cumulative population at every prefix is compared with p's curve at
+    that prefix's Gibbs weight.  In exact arithmetic that is the largest
+    excess over every subset of levels.  Never raises on the residual.
+    """
+    e = np.asarray(energies, dtype=float)
+    p = np.asarray(populations, dtype=float)
+    beta = np.asarray(beta_bath, dtype=float)
+    S, d = p.shape
+    tables = oracle._level_tables(d)
+    rows = np.arange(S)[:, None]
+    with np.errstate(over="ignore"):
+        rel = -(beta[:, None, None] * (e[:, None, :] - e[:, :, None]))
+        weight = np.exp(rel)
+    order = oracle._beta_order(p, rel, tables.lower)
+    table = oracle._curve_table(p, weight, order, beta, tables, rows)
+    climbed = table[:, tables.climbs]
+    q = np.empty((2, S, d))
+    np.subtract(climbed[:, :, 1:], climbed[:, :, :-1], out=q.transpose(1, 0, 2))
+    np.negative(q[0], out=q[0])
+    own = oracle._beta_order(q, rel, tables.lower)
+    gain_loss = np.arange(2)[:, None, None]
+    rise = q[gain_loss, rows, own].cumsum(axis=2) - table[rows, tables.bits[own].cumsum(axis=2)]
+    residual = np.maximum(
+        np.maximum(np.abs(q.sum(axis=2) - 1.0), -q.min(axis=2)),
+        np.maximum(rise.max(axis=2), 0.0),
+    )
+    return ((q - p) * (e - e[:, :1])).sum(axis=2), q, residual

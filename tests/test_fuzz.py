@@ -12,6 +12,7 @@ well below its cap, or past it where a check must reject it before anything
 is built: far past the float range, or one past the --random cap.
 """
 
+import itertools
 import json
 import math
 
@@ -39,6 +40,11 @@ SIZES = {
     "--random": (["0", "1", "3"], ["-1", "x", "2.5", str(cli._MAX_RANDOM_SYSTEMS + 1)]),
     "--seed": (["0", "1", "7"], ["-1", "x", str(HUGE)]),
 }
+
+
+# a fresh file name per case: rewriting one file in place costs tens of
+# milliseconds on some filesystems, a new one a fraction of one
+_NAMES = itertools.count()
 
 
 def _reject_constant(token):
@@ -108,7 +114,7 @@ def mutate(rng, doc: dict):
 
 
 def state_file(rng, tmp_path) -> str:
-    path = tmp_path / "state.json"
+    path = tmp_path / f"state-{next(_NAMES)}.json"
     path.write_text(json.dumps(mutate(rng, state_doc(rng))), encoding="utf-8")
     return str(path)
 
@@ -116,7 +122,7 @@ def state_file(rng, tmp_path) -> str:
 def out_flag(rng, tmp_path) -> list[str]:
     if rng.random() < 0.7:
         return []
-    where = tmp_path / "table.csv" if rng.random() >= ODD else pick(
+    where = tmp_path / f"table-{next(_NAMES)}.csv" if rng.random() >= ODD else pick(
         rng, [tmp_path / "missing" / "x.csv", tmp_path])
     return ["--out", str(where)]
 

@@ -15,7 +15,11 @@ from efftemp.oracle import (
     max_energy_gain,
     thermomajorization_extremes,
 )
-from references import build_cooling_protocol, simulated_protocol_heat
+from references import (
+    build_cooling_protocol,
+    prefix_certificate_extremes,
+    simulated_protocol_heat,
+)
 from efftemp.temperatures import EffectiveTempPair, single_copy_effective
 from efftemp.thermal import QuantumSystem, gibbs_by_beta, gibbs_populations
 
@@ -288,7 +292,41 @@ def oracle_cases(dim, count, seed, beta_span=5.0):
     return cases
 
 
+def certificate_stacks(dim, count, seed):
+    """(energies, populations, beta_bath) stacks with exactly empty levels,
+    levels in (0, ZERO_POPULATION], degenerate pairs, spans from 1e-3 to
+    1e3 and baths up to +/-1e308."""
+    rng = np.random.default_rng(seed)
+    e = np.sort(rng.uniform(-1.0, 1.0, (count, dim)), axis=1)
+    e *= 10.0 ** rng.uniform(-3.0, 3.0, (count, 1))
+    e[::3] = np.round(e[::3] * 2.0) / 2.0
+    p = rng.dirichlet(np.ones(dim), size=count)
+    draw = rng.random(p.shape)
+    draw[np.arange(count), rng.integers(dim, size=count)] = 1.0  # one level keeps its share
+    tiny = (0.25 <= draw) & (draw < 0.35)
+    p[(draw < 0.25) | tiny] = 0.0
+    p /= p.sum(axis=1, keepdims=True)
+    p[tiny] = (1.0 - rng.random(tiny.sum())) * temperatures.ZERO_POPULATION
+    span = np.maximum(e[:, -1] - e[:, 0], 1e-3)
+    beta = rng.uniform(-5.0, 5.0, count) / span
+    extreme = rng.random(count) < 0.3
+    beta[extreme] = rng.choice([-1e308, -800.0, -30.0, 0.0, 30.0, 800.0, 1e308], extreme.sum())
+    return e, p, beta
+
+
 class TestThermomajorizationExtremes:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
+    def test_the_subset_certificate_is_the_prefix_one(self, dim):
+        # the vertices are the former kernel's bit for bit, and reading the
+        # curve at every subset rather than at q's own beta-order prefixes
+        # moves a residual by rounding alone
+        e, p, beta = certificate_stacks(dim, 3300, seed=7000 + dim)
+        value, vertex, residual = thermomajorization_extremes(e, p, beta)
+        want_value, want_vertex, want_residual = prefix_certificate_extremes(e, p, beta)
+        assert value.tobytes() == want_value.tobytes()
+        assert vertex.tobytes() == want_vertex.tobytes()
+        assert np.abs(residual - want_residual).max() <= 4 * np.finfo(float).eps
+
     @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
     def test_matches_the_lp_where_it_is_well_conditioned(self, dim):
         for e, p, beta in oracle_cases(dim, 25, seed=6100 + dim):
@@ -396,12 +434,23 @@ class TestThermomajorizationExtremes:
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
     def test_the_empty_level_rule_is_the_per_row_loop(self, dim):
-        # a ladder per row, every other one rounded to degenerate pairs, with
-        # exactly empty levels, populations around ZERO_POPULATION and optima
-        # on either side of SIGN_MARGIN
+        # a ladder per row with a span from 1e-9 to 1e9, every other one
+        # rounded to degenerate pairs and a quarter with two levels exactly
+        # energy_equal_tol apart or one float further; exactly empty levels,
+        # populations around ZERO_POPULATION and optima on either side of
+        # SIGN_MARGIN
         rng = np.random.default_rng(6800 + dim)
         e = np.sort(rng.uniform(0.0, 2.0, (400, dim)), axis=1)
         e[::2] = np.round(e[::2] * 2.0) / 2.0
+        e *= 10.0 ** rng.uniform(-9.0, 9.0, (400, 1))
+        if dim > 1:
+            edge = np.arange(1, 400, 4)
+            e[edge, :2] = 0.0
+            e[edge, 1] = linalg.energy_equal_tol(e[edge])
+            e[edge[::2], 1] = np.nextafter(e[edge[::2], 1], math.inf)
+            exact = edge[1::2]
+            assert (np.diff(e[exact, :2]) == linalg.energy_equal_tol(e[exact])[:, None]).all()
+        assert (np.diff(e, axis=1) >= 0.0).all()
         p = rng.dirichlet(np.ones(dim), size=400)
         p[rng.random(p.shape) < 0.3] = 0.0
         tiny = rng.random(p.shape) < 0.1
